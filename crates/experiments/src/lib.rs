@@ -1,8 +1,8 @@
 //! # experiments — the evaluation harness
 //!
-//! One module per table/figure of the evaluation (see DESIGN.md §4 for the
-//! experiment index and EXPERIMENTS.md for paper-claim vs. measured
-//! results). Every experiment
+//! One module per table/figure of the evaluation, `e1_*` to `e10_*`; the
+//! module docs state the paper claim each one measures, and
+//! `grp-experiments` runs them by name (see README.md). Every experiment
 //!
 //! * builds its workload from the `dyngraph` generators or a `netsim`
 //!   mobility model,

@@ -20,7 +20,8 @@ use netsim::{SimBuilder, SimConfig, Simulator};
 pub enum Scale {
     /// Small sizes and few seeds — used by integration tests and CI.
     Quick,
-    /// The full parameter sweep reported in EXPERIMENTS.md.
+    /// The full parameter sweep: each experiment's larger sizes, over ten
+    /// seeds instead of two (see [`Scale::seeds`]).
     Full,
 }
 

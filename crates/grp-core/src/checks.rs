@@ -11,12 +11,10 @@
 //! bookkeeping, rejected neighbours) and our own identity quoted back by the
 //! sender are not group content and are excluded — otherwise two freshly met
 //! singletons would count each other twice and could never merge for small
-//! `Dmax`. Following the *proof* of Proposition 13 (which bounds both path
-//! families), we require both the `p − i + 1 + q` and the `i/2 + q + 1`
-//! bounds to hold; the proposition's statement uses "either … or", but
-//! accepting on a single bound can let a merge exceed `Dmax` and would break
-//! the continuity argument of Proposition 14(iii). This deviation is
-//! recorded in DESIGN.md.
+//! `Dmax`. The proof of Proposition 13 bounds both path families
+//! (`p − i + 1 + q` and `i/2 + q + 1`), so requiring both bounds would be
+//! the conservative reading; the code takes the statement's "either … or"
+//! (the `min` of the two), for the reason given on [`compatible_list`].
 
 use crate::ancestor_list::AncestorList;
 use dyngraph::NodeId;
@@ -68,8 +66,7 @@ fn received_exclusions(own_id: NodeId, own_list: &AncestorList) -> BTreeSet<Node
 /// The condition is the paper's: accept when the two lists are short enough
 /// to concatenate (`p + 1 + q + 1 ≤ Dmax + 1`), or when some level `i` of
 /// our list is entirely made of the sender's direct neighbours and
-/// `min(p − i + 1 + q, i/2 + q + 1) ≤ Dmax`. Two reproduction details,
-/// recorded in DESIGN.md:
+/// `min(p − i + 1 + q, i/2 + q + 1) ≤ Dmax`. Two reproduction details:
 ///
 /// * lengths are *group-core* lengths — marked handshake entries, our own
 ///   identity quoted back by the sender and nodes we already know are not

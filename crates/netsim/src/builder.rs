@@ -72,9 +72,8 @@ impl<P: Protocol> SimBuilder<P> {
         self
     }
 
-    /// Toggle batched parallel execution of same-instant compute timers
-    /// (see [`SimConfig::parallel_compute`]); traces are byte-identical
-    /// either way.
+    /// Set the accepted-and-inert [`SimConfig::parallel_compute`] key; the
+    /// engine runs the same single-threaded code either way.
     pub fn parallel_compute(mut self, enabled: bool) -> Self {
         self.config.parallel_compute = enabled;
         self
@@ -88,9 +87,8 @@ impl<P: Protocol> SimBuilder<P> {
         self
     }
 
-    /// Toggle parallel execution of same-instant send and delivery batches
-    /// (see [`SimConfig::parallel_transport`]); requires the per-node RNG
-    /// regime, and traces are byte-identical either way there.
+    /// Set the accepted-and-inert [`SimConfig::parallel_transport`] key;
+    /// the engine runs the same single-threaded code either way.
     pub fn parallel_transport(mut self, enabled: bool) -> Self {
         self.config.parallel_transport = enabled;
         self

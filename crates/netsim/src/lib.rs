@@ -34,10 +34,10 @@
 //! a calendar of `(time, sequence number)`-ordered buckets, and all
 //! randomness flows from `ChaCha8` streams derived from the run seed — one
 //! shared stream in the legacy regime, or one independently-seeded stream
-//! per `(node, purpose)` under [`rng::RngStreams::PerNode`], which lets
-//! same-instant sends and deliveries fan out across worker threads without
-//! the schedule touching any draw. Observers — which get `&Simulator` only —
-//! cannot perturb the trace either way.
+//! per `(node, purpose)` under [`rng::RngStreams::PerNode`], where no
+//! node's draws depend on the rest of the schedule. The engine itself is
+//! single-threaded; parallelism lives across independent runs. Observers —
+//! which get `&Simulator` only — cannot perturb the trace either way.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

@@ -11,16 +11,12 @@ use rand_chacha::ChaCha8Rng;
 
 /// A node-local protocol instance driven by the simulator.
 ///
-/// `Send` is a supertrait so that [`SimConfig::parallel_compute`] can fan
-/// same-instant compute batches across worker threads; every handler still
-/// receives `&mut self` exclusively, so implementations never need internal
-/// synchronisation.
-///
-/// [`SimConfig::parallel_compute`]: crate::sim::SimConfig::parallel_compute
+/// The engine is single-threaded and every handler receives `&mut self`
+/// exclusively, so implementations never need internal synchronisation.
+/// The `Send + Sync` bounds let a whole simulator move to (or be read
+/// from) another thread; the engine itself never shares an instance.
 pub trait Protocol: Send + Sync {
-    /// The messages broadcast to the neighbourhood. `Send` because a
-    /// parallel delivery batch moves each recipient's copy into the worker
-    /// that applies it.
+    /// The messages broadcast to the neighbourhood.
     type Message: Clone + std::fmt::Debug + Send;
 
     /// Identity of the node running this instance.

@@ -3,11 +3,11 @@
 //! The historical engine drew every random decision — timer stagger, link
 //! loss, mobility steps, state corruption — from one shared `ChaCha8Rng`,
 //! which made the *consumption order* part of the pinned traces and forced
-//! every phase that touches randomness to run sequentially. This module is
-//! the alternative: each `(node, purpose)` pair owns an independent ChaCha8
+//! every phase that touches randomness into one global order. This module
+//! is the alternative: each `(node, purpose)` pair owns an independent ChaCha8
 //! stream whose seed is a pure function of `(run_seed, node_id, tag)`, so a
-//! node's draws are identical no matter when the stream is first touched,
-//! which thread advances it, or what the rest of the population does.
+//! node's draws are identical no matter when the stream is first touched or
+//! what the rest of the population does.
 //!
 //! Streams are created lazily and keyed in a `BTreeMap`, so the *set* of
 //! streams a run materialises may depend on the schedule but their contents
@@ -30,9 +30,9 @@ pub enum RngStreams {
     #[default]
     Legacy,
     /// Independent per-`(node, tag)` ChaCha8 streams seeded as
-    /// `hash(run_seed, node_id, tag)`. Randomness becomes schedule- and
-    /// thread-independent, which is what lets same-instant sends,
-    /// deliveries and mobility advance fan out across workers.
+    /// `hash(run_seed, node_id, tag)`. A node's randomness no longer
+    /// depends on how many draws the rest of the population made before
+    /// it.
     PerNode,
 }
 
@@ -63,9 +63,7 @@ pub fn stream_seed(run_seed: u64, node: NodeId, tag: &str) -> u64 {
 /// Lazily-materialised collection of per-node streams for one run.
 ///
 /// Lookup is keyed (`BTreeMap`) and creation is lazy, so streams are
-/// independent of the order in which the engine first touches them; a
-/// stream may also be [taken out](NodeStreams::take) for the duration of a
-/// parallel batch and [reinserted](NodeStreams::put) afterwards.
+/// independent of the order in which the engine first touches them.
 #[derive(Debug)]
 pub struct NodeStreams {
     run_seed: u64,
@@ -88,21 +86,6 @@ impl NodeStreams {
         self.streams
             .entry((node, tag))
             .or_insert_with(|| ChaCha8Rng::seed_from_u64(stream_seed(run_seed, node, tag)))
-    }
-
-    /// Remove the stream for `(node, tag)` so a worker thread can own it
-    /// during a parallel batch (creating it first if never touched).
-    pub fn take(&mut self, node: NodeId, tag: &'static str) -> ChaCha8Rng {
-        match self.streams.remove(&(node, tag)) {
-            Some(rng) => rng,
-            None => ChaCha8Rng::seed_from_u64(stream_seed(self.run_seed, node, tag)),
-        }
-    }
-
-    /// Reinsert a stream previously [taken](NodeStreams::take), preserving
-    /// its advanced position.
-    pub fn put(&mut self, node: NodeId, tag: &'static str, rng: ChaCha8Rng) {
-        self.streams.insert((node, tag), rng);
     }
 }
 
@@ -138,21 +121,5 @@ mod tests {
         let a_second: u64 = reversed.stream(NodeId(1), TAG_CHANNEL).gen();
 
         assert_eq!(a_first, a_second);
-    }
-
-    #[test]
-    fn take_and_put_preserve_the_stream_position() {
-        let mut streams = NodeStreams::new(9);
-        let first: u64 = streams.stream(NodeId(5), TAG_FAULT).gen();
-        let mut rng = streams.take(NodeId(5), TAG_FAULT);
-        let second: u64 = rng.gen();
-        streams.put(NodeId(5), TAG_FAULT, rng);
-        let third: u64 = streams.stream(NodeId(5), TAG_FAULT).gen();
-
-        // a fresh stream replays the same prefix
-        let mut replay = ChaCha8Rng::seed_from_u64(stream_seed(9, NodeId(5), TAG_FAULT));
-        assert_eq!(first, replay.gen::<u64>());
-        assert_eq!(second, replay.gen::<u64>());
-        assert_eq!(third, replay.gen::<u64>());
     }
 }

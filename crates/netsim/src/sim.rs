@@ -31,23 +31,8 @@ use crate::trace::MessageStats;
 use dyngraph::{Graph, NodeId, TopologyEvent};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
-
-/// Below this many independent work items a same-instant batch runs
-/// inline: the vendored `par_map`'s per-call thread spawn costs more than
-/// the work it would distribute. Purely a scheduling choice — results are
-/// identical either way.
-const PARALLEL_BATCH_FLOOR: usize = 16;
-
-/// Worker count for a batch of `items` independent work items.
-fn batch_threads(items: usize) -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-        .min(items / (PARALLEL_BATCH_FLOOR / 2).max(1))
-        .max(1)
-}
 
 /// Where the communication topology comes from.
 pub enum TopologyMode {
@@ -88,28 +73,19 @@ pub struct SimConfig {
     /// all-pairs scan on every mobility tick — kept only so benchmarks can
     /// measure the speedup; both settings produce byte-identical traces.
     pub spatial_index: bool,
-    /// Run same-instant compute-timer expirations as one parallel batch
-    /// through the work-stealing `par_map` (off by default). Only
-    /// *consecutive* compute events sharing a timestamp are batched, per-
-    /// node `on_compute` touches nothing but that node's own state, and
-    /// follow-up timers are rescheduled in the original pop order — so the
-    /// event schedule, the RNG stream and every trace digest are identical
-    /// to the sequential execution (`bench-runner` cross-checks this on
-    /// every GRP row).
+    /// Accepted and inert: the engine is single-threaded, so either value
+    /// runs the same code (docs/PERFORMANCE.md gives the measurement
+    /// behind that). Kept so existing configurations keep building.
     pub parallel_compute: bool,
     /// Which RNG regime the run uses: the historical single shared stream
     /// ([`RngStreams::Legacy`], the default — reproduces every pre-stream
     /// golden trace bit-for-bit) or independent per-node streams
-    /// ([`RngStreams::PerNode`]), which make same-instant event batches
-    /// schedule- and thread-independent. Per-node runs always use the
-    /// batched engine, so their digests do not depend on
-    /// [`parallel_transport`](Self::parallel_transport) or worker count.
+    /// ([`RngStreams::PerNode`]), which make every random decision a
+    /// function of the node it concerns rather than of the schedule.
+    /// Per-node runs use the bucketed engine.
     pub rng_streams: RngStreams,
-    /// Fan same-instant send link-decisions and delivery batches out
-    /// across worker threads (off by default; requires
-    /// [`RngStreams::PerNode`], ignored under the legacy stream). Purely a
-    /// wall-clock knob: the batched engine computes identical traces at
-    /// any thread count.
+    /// Accepted and inert, like
+    /// [`parallel_compute`](Self::parallel_compute).
     pub parallel_transport: bool,
 }
 
@@ -179,17 +155,14 @@ impl SpatialIndex {
     }
 }
 
-/// One receiver's batch of same-instant deliveries, `(sender, message)`
-/// pairs in arrival order.
-type Inbox<P> = Vec<(NodeId, <P as Protocol>::Message)>;
-
-/// One transport worker's input: the sender's resident channel stream plus
-/// each of its queued broadcasts as `(pending index, sender, position,
-/// neighbours)`.
-type SweepInput<'a> = (
-    ChaCha8Rng,
-    Vec<(usize, NodeId, Option<Point>, &'a [NodeId])>,
-);
+/// A broadcast whose transmission window is open and whose link decisions
+/// are still to be drawn (see [`Simulator::begin_send`]).
+struct PendingSend<M> {
+    sender: NodeId,
+    message: M,
+    sender_pos: Option<Point>,
+    neighbours: Vec<NodeId>,
+}
 
 /// The discrete-event simulator.
 pub struct Simulator<P: Protocol> {
@@ -227,10 +200,9 @@ pub struct Simulator<P: Protocol> {
     rounds_completed: u64,
 }
 
-/// The link-blocking fault state active at one instant, captured by value
-/// and by shared reference so the staged parallel-transport path can move
-/// it into `par_map` workers exactly like `loss_burst_until` historically
-/// was. Blocking happens **before** the channel model is consulted, so a
+/// The link-blocking fault state active at one instant, borrowed from the
+/// simulator for the duration of one sender's link decisions. Blocking
+/// happens **before** the channel model is consulted, so a
 /// blocked link consumes no randomness — the invariant that keeps every
 /// digest of a fault-free manifest frozen (see `docs/FAULTS.md`).
 struct LinkGate<'a> {
@@ -463,7 +435,6 @@ impl<P: Protocol> Simulator<P> {
     /// pre-calendar `BinaryHeap` schedule — and therefore every pre-stream
     /// golden digest — bit-for-bit.
     fn run_events_legacy(&mut self, deadline: SimTime, obs: &mut dyn Observer<P>) {
-        let mut batch: Vec<NodeId> = Vec::new();
         while let Some(ev) = self.events.peek() {
             if ev.time > deadline {
                 break;
@@ -471,30 +442,6 @@ impl<P: Protocol> Simulator<P> {
             // detlint::allow(D004): the while-let peek guarantees non-empty
             let ev = self.events.pop().expect("peeked");
             self.now = ev.time;
-            if self.config.parallel_compute {
-                if let EventKind::ComputeTimer(id) = ev.kind {
-                    // drain the consecutive same-instant compute timers into
-                    // one batch; anything else (a delivery interleaved
-                    // between two computes at the same tick) stops the batch
-                    // so the sequential event order is preserved exactly
-                    batch.clear();
-                    batch.push(id);
-                    while let Some(next) = self.events.peek() {
-                        if next.time != self.now || !matches!(next.kind, EventKind::ComputeTimer(_))
-                        {
-                            break;
-                        }
-                        // detlint::allow(D004): the while-let peek guarantees non-empty
-                        match self.events.pop().expect("peeked").kind {
-                            EventKind::ComputeTimer(next_id) => batch.push(next_id),
-                            _ => unreachable!("peeked a compute timer"),
-                        }
-                    }
-                    self.events_processed += batch.len() as u64;
-                    self.handle_compute_batch(&batch);
-                    continue;
-                }
-            }
             self.handle(ev, obs);
         }
     }
@@ -503,9 +450,7 @@ impl<P: Protocol> Simulator<P> {
     /// of the calendar queue per iteration and processes it in the
     /// canonical phase order (see [`handle_bucket`](Self::handle_bucket)).
     /// Because every random decision comes from the stream of the node it
-    /// concerns, the result is a pure function of the queue contents — not
-    /// of thread count, batch sharding, or the
-    /// [`parallel_transport`](SimConfig::parallel_transport) setting.
+    /// concerns, the result is a pure function of the queue contents.
     fn run_buckets(&mut self, deadline: SimTime, obs: &mut dyn Observer<P>) {
         while let Some(ev) = self.events.peek() {
             if ev.time > deadline {
@@ -545,419 +490,198 @@ impl<P: Protocol> Simulator<P> {
             }
         }
         for idx in faults {
-            if let Some(fault) = self.faults.get(idx).cloned() {
-                self.apply_fault(&fault);
-                // the hook hands out &Simulator mid-run: make sure the
-                // observed graph reflects every mobility tick so far
-                self.materialise_topology();
-                obs.on_fault(&fault, self);
-            }
+            self.handle_fault(idx, obs);
         }
         for _ in 0..mobility_ticks {
             self.handle_mobility(obs);
         }
-        if !deliveries.is_empty() {
-            self.handle_delivery_batch(deliveries, obs);
+        for (from, message, recipients) in deliveries {
+            self.deliver(from, message, recipients, obs);
         }
-        if !computes.is_empty() {
-            self.handle_compute_batch(&computes);
+        for id in computes {
+            self.handle_compute(id);
         }
-        if !sends.is_empty() {
-            self.handle_send_batch(&sends);
+        self.handle_send_batch(&sends);
+    }
+
+    /// Apply one scheduled fault and notify the observer.
+    fn handle_fault(&mut self, idx: usize, obs: &mut dyn Observer<P>) {
+        if let Some(fault) = self.faults.get(idx).cloned() {
+            self.apply_fault(&fault);
+            // the hook hands out &Simulator mid-run: make sure the
+            // observed graph reflects every mobility tick so far
+            self.materialise_topology();
+            obs.on_fault(&fault, self);
         }
     }
 
-    /// Deliver a batch of same-instant broadcast sweeps.
-    ///
-    /// Liveness checks, delivery/drop statistics and
-    /// [`Observer::on_delivery`] hooks always run sequentially in event
-    /// order, so their order never depends on threading. With more than
-    /// one worker available (and
-    /// [`parallel_transport`](SimConfig::parallel_transport) on), the
-    /// accepted receptions are grouped per receiver and `on_message`
-    /// shards across workers in ascending-receiver order; otherwise each
-    /// reception applies inline as the sweep walk reaches it. The two
-    /// shapes only differ in `on_message` order across *disjoint* node
-    /// states — unobservable in any trace — and in wall-clock: the
-    /// grouped path pays an allocation per receiver per instant plus an
-    /// O(n) node-map scan to collect the workers' `&mut`s.
-    fn handle_delivery_batch(
+    /// Deliver one broadcast sweep: every recipient still present and
+    /// active receives the message, in sweep order; the rest count as
+    /// dropped.
+    fn deliver(
         &mut self,
-        sweeps: Vec<(NodeId, P::Message, Vec<NodeId>)>,
+        from: NodeId,
+        message: P::Message,
+        recipients: Vec<NodeId>,
         obs: &mut dyn Observer<P>,
     ) {
         let now = self.now;
-        let receptions: usize = sweeps.iter().map(|(_, _, r)| r.len()).sum();
-        let threads = if self.config.parallel_transport && receptions >= PARALLEL_BATCH_FLOOR {
-            batch_threads(receptions)
-        } else {
-            1
-        };
-        if threads <= 1 {
-            // Without a second worker, skip the staging entirely and apply
-            // each reception as the sweep walk reaches it — grouping per
-            // receiver only reorders `on_message` across *disjoint* node
-            // states (unobservable), and building the per-receiver map
-            // costs an allocation per receiver per delivery instant that
-            // at 100k nodes dwarfs the deliveries themselves.
-            for (from, message, recipients) in sweeps {
-                let size = P::message_size(&message);
-                let mut recipients = recipients.into_iter().peekable();
-                while let Some(to) = recipients.next() {
-                    let Some(node) = self.nodes.get_mut(&to) else {
-                        self.stats.dropped += 1;
-                        continue;
-                    };
-                    if !node.active {
-                        self.stats.dropped += 1;
-                        continue;
-                    }
-                    self.stats.delivered += 1;
-                    self.stats.delivered_bytes += size as u64;
-                    obs.on_delivery(from, to, size, now);
-                    // move the message into the last reception instead of
-                    // cloning it
-                    if recipients.peek().is_none() {
-                        node.protocol.on_message(from, message, now);
-                        break;
-                    }
-                    node.protocol.on_message(from, message.clone(), now);
-                }
-            }
-            return;
-        }
-        let mut groups: BTreeMap<NodeId, Vec<(NodeId, P::Message)>> = BTreeMap::new();
-        for (from, message, recipients) in sweeps {
-            let size = P::message_size(&message);
-            let mut recipients = recipients.into_iter().peekable();
-            while let Some(to) = recipients.next() {
-                if !self.nodes.get(&to).map(|n| n.active).unwrap_or(false) {
-                    self.stats.dropped += 1;
-                    continue;
-                }
-                self.stats.delivered += 1;
-                self.stats.delivered_bytes += size as u64;
-                obs.on_delivery(from, to, size, now);
-                // move the message into the last reception instead of
-                // cloning it
-                if recipients.peek().is_none() {
-                    groups.entry(to).or_default().push((from, message));
-                    break;
-                }
-                groups.entry(to).or_default().push((from, message.clone()));
-            }
-        }
-        if groups.is_empty() {
-            return;
-        }
-        let mut work: Vec<(&mut SimNode<P>, Inbox<P>)> = Vec::with_capacity(groups.len());
-        for (id, node) in self.nodes.iter_mut() {
-            if let Some(msgs) = groups.remove(id) {
-                work.push((node, msgs));
-            }
-            if groups.is_empty() {
-                break;
-            }
-        }
-        rayon::par_map(work, threads, |(node, msgs)| {
-            for (from, msg) in msgs {
-                node.protocol.on_message(from, msg, now);
-            }
-        });
-    }
-
-    /// Run a batch of same-instant send-timer expirations.
-    ///
-    /// Phase 1, sequential in event order: poll `on_send`, count the
-    /// broadcast, snapshot the neighbour set and feed the channel's
-    /// transmission window (`begin_broadcast`) for **all** same-instant
-    /// senders before any link decision — simultaneous transmitters
-    /// contend with each other, whichever worker later evaluates their
-    /// links. Phase 2: per-link loss/jitter decisions, each drawn from the
-    /// *sender's* own `channel` stream; instances are grouped per sender
-    /// (a re-added node can fire twice per instant) so one worker owns one
-    /// stream, and groups shard across workers under
-    /// [`parallel_transport`](SimConfig::parallel_transport). Phase 3,
-    /// sequential in event order again: fold statistics, schedule the
-    /// delivery sweeps (deterministic sequence numbers), reschedule the
-    /// timers, and hand each advanced stream back.
-    ///
-    /// With a single worker the staging buys nothing, so phases 2–3 run
-    /// inline per pending send, drawing from the sender's resident stream
-    /// — same per-stream draw order, same fold and `schedule` sequence,
-    /// none of the task-assembly cost.
-    fn handle_send_batch(&mut self, ids: &[NodeId]) {
-        let now = self.now;
-        // phase 1
-        struct Pending<M> {
-            sender: NodeId,
-            message: M,
-            sender_pos: Option<Point>,
-            neighbours: Vec<NodeId>,
-        }
-        let mut pending: Vec<Pending<P::Message>> = Vec::new();
-        for &id in ids {
-            let message = match self.nodes.get_mut(&id) {
-                Some(node) if node.active => node.protocol.on_send(now),
-                _ => None,
-            };
-            let Some(message) = message else {
+        let size = P::message_size(&message);
+        let mut recipients = recipients.into_iter().peekable();
+        while let Some(to) = recipients.next() {
+            let Some(node) = self.nodes.get_mut(&to).filter(|n| n.active) else {
+                self.stats.dropped += 1;
                 continue;
             };
-            self.stats.broadcasts += 1;
-            let neighbours: Vec<NodeId> = match &self.index {
-                SpatialIndex::Grid { grid, .. } => grid.neighbors(id).collect(),
-                _ => self.topology.neighbors(id).collect(),
-            };
-            let sender_pos = match &self.mode {
-                TopologyMode::Spatial { mobility, .. } => mobility.positions().get(&id).copied(),
-                TopologyMode::Explicit(_) => None,
-            };
-            self.channel.begin_broadcast(now, id, sender_pos);
-            pending.push(Pending {
-                sender: id,
-                message,
-                sender_pos,
-                neighbours,
-            });
-        }
-        if pending.is_empty() {
-            // still reschedule every timer that fired
-            for &id in ids {
-                self.schedule(self.config.send_period, EventKind::SendTimer(id));
+            self.stats.delivered += 1;
+            self.stats.delivered_bytes += size as u64;
+            obs.on_delivery(from, to, size, now);
+            // move the message into the last reception instead of cloning it
+            if recipients.peek().is_none() {
+                node.protocol.on_message(from, message, now);
+                break;
             }
-            return;
+            node.protocol.on_message(from, message.clone(), now);
         }
-        let threads = if self.config.parallel_transport && pending.len() >= PARALLEL_BATCH_FLOOR {
-            batch_threads(pending.len())
-        } else {
-            1
-        };
-        if threads <= 1 {
-            // Single worker: draw each link decision straight from the
-            // sender's resident stream in event order and schedule the
-            // sweeps immediately. Per-stream draw order, statistics fold
-            // order and the `schedule` call sequence (hence sequence
-            // numbers) are identical to the staged path below — the only
-            // difference is skipping the task assembly, the stream
-            // take/put churn and the per-instance outcome staging, which
-            // at 100k nodes cost more than the link decisions themselves.
-            for p in pending {
-                let mut attempted = 0u64;
-                let mut dropped = 0u64;
-                let mut groups: BTreeMap<u64, Vec<NodeId>> = BTreeMap::new();
-                {
-                    let (radio, positions): (
-                        Option<&dyn RadioModel>,
-                        Option<&BTreeMap<NodeId, Point>>,
-                    ) = match &self.mode {
-                        TopologyMode::Explicit(_) => (None, None),
-                        TopologyMode::Spatial { radio, mobility } => {
-                            (Some(radio.as_ref()), Some(mobility.positions()))
-                        }
-                    };
-                    let gate = LinkGate {
-                        loss_burst_until: self.loss_burst_until,
-                        partition: self.partition.as_ref(),
-                        blackouts: &self.region_blackouts,
-                    };
-                    let rng = self.streams.stream(p.sender, TAG_CHANNEL);
-                    for &to in &p.neighbours {
-                        if !self.nodes.contains_key(&to) {
-                            continue;
-                        }
-                        attempted += 1;
-                        let receiver_pos = positions.and_then(|m| m.get(&to).copied());
-                        if gate.blocked(now, p.sender, to, p.sender_pos, receiver_pos) {
-                            dropped += 1;
-                            continue;
-                        }
-                        let outcome = self.channel.link(
-                            rng,
-                            &LinkEnv {
-                                now,
-                                sender: p.sender,
-                                receiver: to,
-                                sender_pos: p.sender_pos,
-                                receiver_pos,
-                                radio,
-                                loss_probability: self.config.loss_probability,
-                            },
-                        );
-                        if outcome.received {
-                            groups.entry(outcome.extra_delay).or_default().push(to);
-                        } else {
-                            dropped += 1;
-                        }
-                    }
-                }
-                self.stats.attempted += attempted;
-                self.stats.dropped += dropped;
-                let sweeps = groups.len();
-                let mut message = Some(p.message);
-                for (i, (extra_delay, recipients)) in groups.into_iter().enumerate() {
-                    // the message moves into the last sweep instead of cloning
-                    let msg = if i + 1 == sweeps {
-                        // detlint::allow(D004): taken exactly once, on the last sweep
-                        message.take().expect("one take per send")
-                    } else {
-                        // detlint::allow(D004): only the final iteration takes it
-                        message.as_ref().expect("taken only at the end").clone()
-                    };
-                    self.schedule(
-                        self.config.delivery_delay + extra_delay,
-                        EventKind::Broadcast {
-                            from: p.sender,
-                            message: msg,
-                            recipients,
-                        },
-                    );
-                }
-            }
-            for &id in ids {
-                self.schedule(self.config.send_period, EventKind::SendTimer(id));
-            }
-            return;
-        }
-        // group instance indices per distinct sender, first-occurrence
-        // order: the instances of one sender must draw from its stream in
-        // event order, so they stay on one worker
-        let mut tasks: Vec<(NodeId, ChaCha8Rng, Vec<usize>)> = Vec::new();
-        let mut task_of: BTreeMap<NodeId, usize> = BTreeMap::new();
-        for (idx, p) in pending.iter().enumerate() {
-            match task_of.get(&p.sender) {
-                Some(&t) => tasks[t].2.push(idx),
-                None => {
-                    task_of.insert(p.sender, tasks.len());
-                    tasks.push((
-                        p.sender,
-                        self.streams.take(p.sender, TAG_CHANNEL),
-                        vec![idx],
-                    ));
-                }
+    }
+
+    /// Run one compute-timer expiration and re-arm the timer.
+    fn handle_compute(&mut self, id: NodeId) {
+        let now = self.now;
+        if let Some(node) = self.nodes.get_mut(&id) {
+            if node.active {
+                node.protocol.on_compute(now);
+                node.last_compute = now;
             }
         }
-        // phase 2 — read-only over nodes/channel/radio/positions; each
-        // worker owns its sender's stream
-        struct SendOutcome {
-            attempted: u64,
-            dropped: u64,
-            groups: BTreeMap<u64, Vec<NodeId>>,
-        }
-        let nodes = &self.nodes;
-        let channel = &*self.channel;
-        let loss_probability = self.config.loss_probability;
-        let gate = LinkGate {
-            loss_burst_until: self.loss_burst_until,
-            partition: self.partition.as_ref(),
-            blackouts: &self.region_blackouts,
-        };
-        let gate = &gate;
-        let (radio, positions): (Option<&dyn RadioModel>, Option<&BTreeMap<NodeId, Point>>) =
-            match &self.mode {
-                TopologyMode::Explicit(_) => (None, None),
-                TopologyMode::Spatial { radio, mobility } => {
-                    (Some(radio.as_ref()), Some(mobility.positions()))
-                }
-            };
-        let inputs: Vec<SweepInput<'_>> = tasks
-            .into_iter()
-            .map(|(_, rng, idxs)| {
-                let items = idxs
-                    .into_iter()
-                    .map(|i| {
-                        let p = &pending[i];
-                        (i, p.sender, p.sender_pos, p.neighbours.as_slice())
-                    })
-                    .collect();
-                (rng, items)
-            })
-            .collect();
-        let decided = rayon::par_map(inputs, threads, |(mut rng, items)| {
-            let outcomes: Vec<(usize, SendOutcome)> = items
-                .into_iter()
-                .map(|(idx, sender, sender_pos, neighbours)| {
-                    let mut out = SendOutcome {
-                        attempted: 0,
-                        dropped: 0,
-                        groups: BTreeMap::new(),
-                    };
-                    for &to in neighbours {
-                        if !nodes.contains_key(&to) {
-                            continue;
-                        }
-                        out.attempted += 1;
-                        let receiver_pos = positions.and_then(|p| p.get(&to).copied());
-                        if gate.blocked(now, sender, to, sender_pos, receiver_pos) {
-                            out.dropped += 1;
-                            continue;
-                        }
-                        let outcome = channel.link(
-                            &mut rng,
-                            &LinkEnv {
-                                now,
-                                sender,
-                                receiver: to,
-                                sender_pos,
-                                receiver_pos,
-                                radio,
-                                loss_probability,
-                            },
-                        );
-                        if outcome.received {
-                            out.groups.entry(outcome.extra_delay).or_default().push(to);
-                        } else {
-                            out.dropped += 1;
-                        }
-                    }
-                    (idx, out)
-                })
-                .collect();
-            (rng, outcomes)
-        });
-        // phase 3 — sequential: fold stats and schedule sweeps in event
-        // order, return the advanced streams
-        let mut by_instance: Vec<Option<SendOutcome>> = Vec::new();
-        by_instance.resize_with(pending.len(), || None);
-        let mut senders: Vec<NodeId> = Vec::with_capacity(decided.len());
-        for (rng, outcomes) in decided {
-            for (idx, out) in outcomes {
-                senders.push(pending[idx].sender);
-                by_instance[idx] = Some(out);
-            }
-            // one task per distinct sender: the first instance names it
-            if let Some(&sender) = senders.last() {
-                self.streams.put(sender, TAG_CHANNEL, rng);
-            }
-        }
-        for (p, out) in pending.into_iter().zip(by_instance) {
-            // detlint::allow(D004): phase 2 produced one outcome per instance
-            let out = out.expect("decided above");
-            self.stats.attempted += out.attempted;
-            self.stats.dropped += out.dropped;
-            let sweeps = out.groups.len();
-            let mut message = Some(p.message);
-            for (i, (extra_delay, recipients)) in out.groups.into_iter().enumerate() {
-                // the message moves into the last sweep instead of cloning
-                let msg = if i + 1 == sweeps {
-                    // detlint::allow(D004): taken exactly once, on the last sweep
-                    message.take().expect("one take per send")
-                } else {
-                    // detlint::allow(D004): only the final iteration takes it
-                    message.as_ref().expect("taken only at the end").clone()
-                };
-                self.schedule(
-                    self.config.delivery_delay + extra_delay,
-                    EventKind::Broadcast {
-                        from: p.sender,
-                        message: msg,
-                        recipients,
-                    },
-                );
-            }
+        self.schedule(self.config.compute_period, EventKind::ComputeTimer(id));
+    }
+
+    /// Run a batch of same-instant send-timer expirations in event order.
+    /// Every sender's transmission window opens
+    /// ([`begin_send`](Self::begin_send)) before any link decision is
+    /// drawn, so simultaneous transmitters contend with each other; then
+    /// each broadcast's links are decided and its sweeps scheduled
+    /// ([`transmit`](Self::transmit)); the timers re-arm last. A node
+    /// re-added via `add_node` carries a second timer, so one id may appear
+    /// twice: each instance is handled in turn, drawing from the same
+    /// stream in event order.
+    fn handle_send_batch(&mut self, ids: &[NodeId]) {
+        let pending: Vec<_> = ids.iter().filter_map(|&id| self.begin_send(id)).collect();
+        for p in pending {
+            self.transmit(p);
         }
         for &id in ids {
             self.schedule(self.config.send_period, EventKind::SendTimer(id));
+        }
+    }
+
+    /// Poll a node's `on_send`. If it broadcasts: count the broadcast,
+    /// snapshot its neighbour set (in grid mode straight from the CSR
+    /// index, in the same NodeId-ascending order a materialised `Graph`
+    /// iterates in) and open its transmission window on the channel.
+    fn begin_send(&mut self, id: NodeId) -> Option<PendingSend<P::Message>> {
+        let now = self.now;
+        let message = match self.nodes.get_mut(&id) {
+            Some(node) if node.active => node.protocol.on_send(now)?,
+            _ => return None,
+        };
+        self.stats.broadcasts += 1;
+        let neighbours = match &self.index {
+            SpatialIndex::Grid { grid, .. } => grid.neighbors(id).collect(),
+            _ => self.topology.neighbors(id).collect(),
+        };
+        let sender_pos = match &self.mode {
+            TopologyMode::Spatial { mobility, .. } => mobility.positions().get(&id).copied(),
+            TopologyMode::Explicit(_) => None,
+        };
+        self.channel.begin_broadcast(now, id, sender_pos);
+        Some(PendingSend {
+            sender: id,
+            message,
+            sender_pos,
+            neighbours,
+        })
+    }
+
+    /// Decide every link of one broadcast and schedule the survivors.
+    /// Decisions are drawn in neighbour order from the sender's `channel`
+    /// stream (per-node regime) or the shared stream (legacy); that
+    /// consumption order is part of the pinned traces. Survivors ride
+    /// `Broadcast` sweep events, one per distinct extra delay in ascending
+    /// order, so sequence numbers follow delay order; the default
+    /// Bernoulli channel never adds delay and schedules a single sweep.
+    fn transmit(&mut self, p: PendingSend<P::Message>) {
+        let now = self.now;
+        let mut groups: BTreeMap<u64, Vec<NodeId>> = BTreeMap::new();
+        {
+            let (radio, positions): (Option<&dyn RadioModel>, Option<&BTreeMap<NodeId, Point>>) =
+                match &self.mode {
+                    TopologyMode::Explicit(_) => (None, None),
+                    TopologyMode::Spatial { radio, mobility } => {
+                        (Some(radio.as_ref()), Some(mobility.positions()))
+                    }
+                };
+            let gate = LinkGate {
+                loss_burst_until: self.loss_burst_until,
+                partition: self.partition.as_ref(),
+                blackouts: &self.region_blackouts,
+            };
+            // the sender's stream is looked up once per broadcast; `None`
+            // draws from the legacy shared stream
+            let mut stream = match self.config.rng_streams {
+                RngStreams::Legacy => None,
+                RngStreams::PerNode => Some(self.streams.stream(p.sender, TAG_CHANNEL)),
+            };
+            for &to in &p.neighbours {
+                if !self.nodes.contains_key(&to) {
+                    continue;
+                }
+                self.stats.attempted += 1;
+                let receiver_pos = positions.and_then(|m| m.get(&to).copied());
+                if gate.blocked(now, p.sender, to, p.sender_pos, receiver_pos) {
+                    self.stats.dropped += 1;
+                    continue;
+                }
+                let env = LinkEnv {
+                    now,
+                    sender: p.sender,
+                    receiver: to,
+                    sender_pos: p.sender_pos,
+                    receiver_pos,
+                    radio,
+                    loss_probability: self.config.loss_probability,
+                };
+                let outcome = match stream.as_deref_mut() {
+                    Some(stream) => self.channel.link(stream, &env),
+                    None => self.channel.link(&mut self.rng, &env),
+                };
+                if outcome.received {
+                    groups.entry(outcome.extra_delay).or_default().push(to);
+                } else {
+                    self.stats.dropped += 1;
+                }
+            }
+        }
+        let sweeps = groups.len();
+        let mut message = Some(p.message);
+        for (i, (extra_delay, recipients)) in groups.into_iter().enumerate() {
+            // the message moves into the last sweep instead of cloning
+            let msg = if i + 1 == sweeps {
+                // detlint::allow(D004): taken exactly once, on the last sweep
+                message.take().expect("one take per send")
+            } else {
+                // detlint::allow(D004): only the final iteration takes it
+                message.as_ref().expect("taken only at the end").clone()
+            };
+            self.schedule(
+                self.config.delivery_delay + extra_delay,
+                EventKind::Broadcast {
+                    from: p.sender,
+                    message: msg,
+                    recipients,
+                },
+            );
         }
     }
 
@@ -1003,54 +727,6 @@ impl<P: Protocol> Simulator<P> {
             }
         }
         self.schedule(self.config.mobility_period, EventKind::MobilityTick);
-    }
-
-    /// Run a batch of same-instant compute expirations, fanning the
-    /// per-node `on_compute` calls across worker threads. Each call only
-    /// mutates its own node's protocol state, so the parallel execution is
-    /// observably identical to handling the timers one by one; the
-    /// follow-up timers are rescheduled in the original pop order, which
-    /// keeps the sequence-number assignment (and therefore every future
-    /// tie-break) byte-identical to the sequential path.
-    fn handle_compute_batch(&mut self, ids: &[NodeId]) {
-        let now = self.now;
-        // A node re-added via `add_node` carries a second timer stream, so
-        // one id can legitimately appear twice in a same-instant batch;
-        // the parallel path below can only visit each node once (it holds
-        // one `&mut` per node), so a batch with duplicates must run
-        // per-event like the sequential engine does. A single-worker box
-        // takes the same keyed path: collecting the disjoint `&mut`s means
-        // scanning the whole node map, an O(n) toll per compute instant
-        // that buys nothing without a second thread.
-        let wanted: BTreeSet<NodeId> = ids.iter().copied().collect();
-        if ids.len() < PARALLEL_BATCH_FLOOR
-            || wanted.len() != ids.len()
-            || batch_threads(ids.len()) <= 1
-        {
-            for id in ids {
-                if let Some(node) = self.nodes.get_mut(id) {
-                    if node.active {
-                        node.protocol.on_compute(now);
-                        node.last_compute = now;
-                    }
-                }
-            }
-        } else {
-            let targets: Vec<&mut SimNode<P>> = self
-                .nodes
-                .iter_mut()
-                .filter(|(id, node)| wanted.contains(id) && node.active)
-                .map(|(_, node)| node)
-                .collect();
-            let threads = batch_threads(targets.len());
-            rayon::par_map(targets, threads, |node| {
-                node.protocol.on_compute(now);
-                node.last_compute = now;
-            });
-        }
-        for &id in ids {
-            self.schedule(self.config.compute_period, EventKind::ComputeTimer(id));
-        }
     }
 
     /// Re-materialise the observed `Graph` from the grid's CSR if mobility
@@ -1127,153 +803,19 @@ impl<P: Protocol> Simulator<P> {
         self.events_processed
     }
 
+    /// Handle one event of the legacy loop.
     fn handle(&mut self, ev: Event<P::Message>, obs: &mut dyn Observer<P>) {
         self.events_processed += 1;
         match ev.kind {
-            EventKind::ComputeTimer(id) => {
-                let now = self.now;
-                if let Some(node) = self.nodes.get_mut(&id) {
-                    if node.active {
-                        node.protocol.on_compute(now);
-                        node.last_compute = now;
-                    }
-                }
-                self.schedule(self.config.compute_period, EventKind::ComputeTimer(id));
-            }
-            EventKind::SendTimer(id) => {
-                self.handle_send(id);
-                self.schedule(self.config.send_period, EventKind::SendTimer(id));
-            }
+            EventKind::ComputeTimer(id) => self.handle_compute(id),
+            EventKind::SendTimer(id) => self.handle_send_batch(&[id]),
             EventKind::Broadcast {
                 from,
                 message,
                 recipients,
-            } => {
-                let now = self.now;
-                let size = P::message_size(&message);
-                let mut recipients = recipients.into_iter().peekable();
-                while let Some(to) = recipients.next() {
-                    if let Some(node) = self.nodes.get_mut(&to) {
-                        if node.active {
-                            self.stats.delivered += 1;
-                            self.stats.delivered_bytes += size as u64;
-                            obs.on_delivery(from, to, size, now);
-                            // move the message into the last reception
-                            // instead of cloning it
-                            if recipients.peek().is_none() {
-                                node.protocol.on_message(from, message, now);
-                                break;
-                            }
-                            node.protocol.on_message(from, message.clone(), now);
-                        } else {
-                            self.stats.dropped += 1;
-                        }
-                    } else {
-                        self.stats.dropped += 1;
-                    }
-                }
-            }
-            EventKind::MobilityTick => {
-                self.handle_mobility(obs);
-            }
-            EventKind::Fault(idx) => {
-                if let Some(fault) = self.faults.get(idx).cloned() {
-                    self.apply_fault(&fault);
-                    // the hook hands out &Simulator mid-run: make sure the
-                    // observed graph reflects every mobility tick so far
-                    self.materialise_topology();
-                    obs.on_fault(&fault, self);
-                }
-            }
-        }
-    }
-
-    fn handle_send(&mut self, id: NodeId) {
-        let now = self.now;
-        let message = match self.nodes.get_mut(&id) {
-            Some(node) if node.active => match node.protocol.on_send(now) {
-                Some(m) => m,
-                None => return,
-            },
-            _ => return,
-        };
-        self.stats.broadcasts += 1;
-        // Per-neighbour loss decisions happen now, in neighbour order (the
-        // RNG consumption order is part of the pinned golden traces); the
-        // survivors ride Broadcast sweep events instead of one heap entry
-        // each — one sweep per distinct extra delay, and the default
-        // Bernoulli channel never adds delay, so it schedules exactly the
-        // single sweep the pre-channel engine did. In grid mode the
-        // neighbours come from the CSR index (same NodeId-ascending order a
-        // materialised Graph iterates in).
-        let neighbours: Vec<NodeId> = match &self.index {
-            SpatialIndex::Grid { grid, .. } => grid.neighbors(id).collect(),
-            _ => self.topology.neighbors(id).collect(),
-        };
-        let (radio, positions): (Option<&dyn RadioModel>, Option<&BTreeMap<NodeId, Point>>) =
-            match &self.mode {
-                TopologyMode::Explicit(_) => (None, None),
-                TopologyMode::Spatial { radio, mobility } => {
-                    (Some(radio.as_ref()), Some(mobility.positions()))
-                }
-            };
-        let sender_pos = positions.and_then(|p| p.get(&id).copied());
-        self.channel.begin_broadcast(now, id, sender_pos);
-        // recipients grouped by extra delay, ascending, so sweep events are
-        // scheduled (and sequence numbers assigned) in delay order
-        let gate = LinkGate {
-            loss_burst_until: self.loss_burst_until,
-            partition: self.partition.as_ref(),
-            blackouts: &self.region_blackouts,
-        };
-        let mut groups: BTreeMap<u64, Vec<NodeId>> = BTreeMap::new();
-        for to in neighbours {
-            if !self.nodes.contains_key(&to) {
-                continue;
-            }
-            self.stats.attempted += 1;
-            let receiver_pos = positions.and_then(|p| p.get(&to).copied());
-            if gate.blocked(now, id, to, sender_pos, receiver_pos) {
-                self.stats.dropped += 1;
-                continue;
-            }
-            let outcome = self.channel.link(
-                &mut self.rng,
-                &LinkEnv {
-                    now,
-                    sender: id,
-                    receiver: to,
-                    sender_pos,
-                    receiver_pos,
-                    radio,
-                    loss_probability: self.config.loss_probability,
-                },
-            );
-            if outcome.received {
-                groups.entry(outcome.extra_delay).or_default().push(to);
-            } else {
-                self.stats.dropped += 1;
-            }
-        }
-        let sweeps = groups.len();
-        let mut message = Some(message);
-        for (i, (extra_delay, recipients)) in groups.into_iter().enumerate() {
-            // the message moves into the last sweep instead of cloning
-            let msg = if i + 1 == sweeps {
-                // detlint::allow(D004): taken exactly once, on the last sweep
-                message.take().expect("one take per send")
-            } else {
-                // detlint::allow(D004): only the final iteration takes it
-                message.as_ref().expect("taken only at the end").clone()
-            };
-            self.schedule(
-                self.config.delivery_delay + extra_delay,
-                EventKind::Broadcast {
-                    from: id,
-                    message: msg,
-                    recipients,
-                },
-            );
+            } => self.deliver(from, message, recipients, obs),
+            EventKind::MobilityTick => self.handle_mobility(obs),
+            EventKind::Fault(idx) => self.handle_fault(idx, obs),
         }
     }
 
@@ -1534,11 +1076,10 @@ mod tests {
         assert_eq!(run(42), run(42));
     }
 
-    /// `parallel_compute` batches same-instant compute expirations across
-    /// worker threads; the observable execution — protocol state, message
-    /// statistics, event count, trace digest — must be byte-identical to
-    /// the sequential run. A lockstep start (no stagger) maximises batch
-    /// sizes, which is exactly the adversarial case.
+    /// `parallel_compute` is accepted and inert: the observable execution —
+    /// protocol state, message statistics, event count, trace digest —
+    /// must be byte-identical with it on or off. A lockstep start (no
+    /// stagger) puts the whole population in every compute instant.
     #[test]
     fn parallel_compute_is_trace_identical_to_sequential() {
         use crate::digest::CanonicalHasher;
@@ -1571,11 +1112,10 @@ mod tests {
         assert_eq!(run(false), run(true));
     }
 
-    /// Under per-node streams, the transport batches (sends + deliveries)
-    /// may shard across worker threads; the observable execution must be a
-    /// pure function of the schedule, so `parallel_transport` on and off
-    /// have to produce byte-identical traces. Lockstep phases (no stagger)
-    /// put every node in the same instant's batch — the adversarial case.
+    /// `parallel_transport` is accepted and inert under per-node streams:
+    /// on and off must produce byte-identical traces. Lockstep phases (no
+    /// stagger) put every node in the same instant's send and delivery
+    /// batches.
     #[test]
     fn per_node_transport_is_trace_identical_with_parallel_on_or_off() {
         use crate::digest::CanonicalHasher;
@@ -1609,11 +1149,11 @@ mod tests {
         assert_eq!(run(false), run(true));
     }
 
-    /// The same invariance through the spatial stack: random-walk mobility
+    /// The same inertness through the spatial stack: random-walk mobility
     /// (per-node `mobility` streams), staggered timers (per-node `phase`
     /// streams), lossy links (per-node `channel` streams) and a state
-    /// corruption (per-node `fault` stream) — with and without transport
-    /// parallelism.
+    /// corruption (per-node `fault` stream), with `parallel_transport` on
+    /// and off.
     #[test]
     fn per_node_spatial_run_is_invariant_under_transport_parallelism() {
         use crate::mobility::RandomWalk;
@@ -1877,11 +1417,11 @@ mod tests {
         assert_eq!(run(false), 1, "fresh restart wipes it");
     }
 
-    /// Satellite pin: every *blocking* fault (`LossBurst`, `Partition`/
-    /// `Heal`, `RegionBlackout`) gates links identically in the inline and
-    /// staged-parallel transport paths — with per-node streams, transport
-    /// parallelism must not change a single byte of the execution even
-    /// while a blackout window and a partition are active mid-run.
+    /// Every *blocking* fault (`LossBurst`, `Partition`/`Heal`,
+    /// `RegionBlackout`) gates links the same way whatever the inert
+    /// `parallel_transport` key says: with per-node streams, flipping it
+    /// must not change a single byte of the execution even while a
+    /// blackout window and a partition are active mid-run.
     #[test]
     fn blocking_faults_are_invariant_under_transport_parallelism() {
         use crate::digest::CanonicalHasher;
@@ -1945,5 +1485,52 @@ mod tests {
             "the blocking faults were actually exercised"
         );
         assert_eq!(sequential, run(true));
+    }
+
+    /// A node re-added via `add_node` carries a second pair of timers, so
+    /// under a lockstep start its id appears twice in the same compute
+    /// bucket and twice in the same send bucket. Both instances run in
+    /// event order: two computes, two broadcasts drawing in turn from the
+    /// node's one `channel` stream. Pins the counts, the statistics and the
+    /// trace digest of that case, with both inert parallel keys on.
+    #[test]
+    fn re_added_node_fires_twice_per_bucket_under_per_node_streams() {
+        use crate::digest::CanonicalHasher;
+        use crate::observer::TraceProbe;
+        let g = path(20);
+        let mut sim: Simulator<Flood> = Simulator::new(
+            SimConfig {
+                seed: 24,
+                stagger_phases: false,
+                loss_probability: 0.3,
+                rng_streams: RngStreams::PerNode,
+                parallel_compute: true,
+                parallel_transport: true,
+                ..Default::default()
+            },
+            TopologyMode::Explicit(g),
+        );
+        sim.add_nodes((0..20).map(|i| Flood::new(NodeId(i))));
+        sim.add_node(Flood::new(NodeId(1)));
+        let mut probe = TraceProbe::new();
+        sim.run_rounds_observed(4, &mut probe);
+        let mut hasher = CanonicalHasher::new();
+        probe.trace().feed_digest(&mut hasher);
+
+        // computes fire at 251, 1251, 2251, 3251: node 1 twice each time
+        assert_eq!(sim.protocol(NodeId(0)).unwrap().computes, 4);
+        assert_eq!(sim.protocol(NodeId(1)).unwrap().computes, 8);
+        // sends fire at 1, 251, …, 3751: 16 instants, node 1 twice each
+        let stats = sim.stats();
+        assert_eq!(stats.broadcasts, 21 * 16);
+        assert_eq!(
+            (stats.attempted, stats.delivered, stats.dropped),
+            (640, 446, 194)
+        );
+        assert_eq!(sim.events_processed(), 727);
+        assert_eq!(
+            hasher.finalize().to_hex(),
+            "9f95e2971666192543cac922b61325e80a51a11c380fb78237ed3508eb870f53"
+        );
     }
 }

@@ -4,8 +4,8 @@
 //! schedule — every kind, any times, any victims — produces a run that is
 //! a pure function of (manifest, seed): rerunning must reproduce the
 //! execution byte for byte, and under per-node streams the execution must
-//! not depend on transport parallelism either. These properties generate
-//! arbitrary schedules and check exactly that.
+//! not depend on the inert `parallel_transport` key either. These
+//! properties generate arbitrary schedules and check exactly that.
 
 use dyngraph::NodeId;
 use netsim::mobility::RandomWalk;
@@ -181,8 +181,8 @@ proptest! {
         }
     }
 
-    /// Under per-node streams, transport parallelism must not change a
-    /// byte of the execution, whatever faults are active mid-batch.
+    /// Under per-node streams, the inert `parallel_transport` key must not
+    /// change a byte of the execution, whatever faults are active.
     #[test]
     fn any_fault_schedule_is_invariant_under_transport_parallelism(
         faults in fault_schedule(),

@@ -305,20 +305,18 @@ pub struct SimSpec {
     /// Spatial-mode neighbour discovery via the grid index (default). Off
     /// restores the all-pairs scan; traces are identical either way.
     pub spatial_index: bool,
-    /// Batch same-instant compute expirations across worker threads
-    /// (default off). Traces are byte-identical either way — the golden
-    /// digests pin it — so the flag is purely a wall-clock knob for the
-    /// XL scenarios.
+    /// Accepted and inert (default off): the engine is single-threaded,
+    /// so either value runs the same code (see
+    /// [`netsim::SimConfig::parallel_compute`]).
     pub parallel_compute: bool,
     /// Randomness regime: `"per-node"` (default) seeds one independent
     /// ChaCha8 stream per `(node, purpose)` from the run seed, making the
     /// trace a pure function of the schedule; `"legacy"` replays the
     /// historical single shared stream (the pre-migration digests).
     pub rng_streams: netsim::RngStreams,
-    /// Shard same-instant send/delivery batches across worker threads
-    /// (default on). Only meaningful — and only permitted — under the
-    /// per-node regime, where traces are byte-identical either way; it is
-    /// purely a wall-clock knob, like [`parallel_compute`](Self::parallel_compute).
+    /// Accepted and inert, like [`parallel_compute`](Self::parallel_compute)
+    /// (default off). An explicit `true` is still rejected under the
+    /// legacy regime, so a manifest that parsed before still parses.
     pub parallel_transport: bool,
 }
 
@@ -336,7 +334,7 @@ impl Default for SimSpec {
             spatial_index: true,
             parallel_compute: false,
             rng_streams: netsim::RngStreams::PerNode,
-            parallel_transport: true,
+            parallel_transport: false,
         }
     }
 }
@@ -735,8 +733,10 @@ impl ScenarioManifest {
                          `convergence = true` — recovery is timed against the \
                          legitimacy verdict stream");
                 }
-                // Legacy replays draw every random decision from one shared
-                // stream in schedule order — there is nothing to shard.
+                // The key is inert, but this pairing stays an error so the
+                // set of valid manifests does not change: legacy replays
+                // draw every decision from one shared stream in schedule
+                // order, which nothing could ever shard.
                 if sim.rng_streams == netsim::RngStreams::Legacy && sim.parallel_transport {
                     return bad("[sim]: `parallel_transport = true` requires \
                          `rng_streams = \"per-node\"` — the legacy shared stream \
@@ -1228,11 +1228,6 @@ fn parse_sim(value: Option<&Value>) -> Result<SimSpec, ManifestError> {
             }
         },
     };
-    // transport sharding defaults on, except under the legacy regime where
-    // it cannot apply (an explicit `parallel_transport = true` there is
-    // rejected in manifest validation)
-    let transport_default =
-        default.parallel_transport && rng_streams == netsim::RngStreams::PerNode;
     Ok(SimSpec {
         seeds,
         rounds: opt_u64(t, "rounds", default.rounds, ctx)?,
@@ -1245,7 +1240,7 @@ fn parse_sim(value: Option<&Value>) -> Result<SimSpec, ManifestError> {
         spatial_index: opt_bool(t, "spatial_index", default.spatial_index)?,
         parallel_compute: opt_bool(t, "parallel_compute", default.parallel_compute)?,
         rng_streams,
-        parallel_transport: opt_bool(t, "parallel_transport", transport_default)?,
+        parallel_transport: opt_bool(t, "parallel_transport", default.parallel_transport)?,
     })
 }
 
@@ -1490,7 +1485,7 @@ n = 4
         assert_eq!(m.sim.seeds, vec![1]);
         assert_eq!(m.sim.rounds, 60);
         assert_eq!(m.sim.rng_streams, netsim::RngStreams::PerNode);
-        assert!(m.sim.parallel_transport);
+        assert!(!m.sim.parallel_transport, "the inert key defaults off");
         assert_eq!(m.workload.node_count(), 4);
         assert!(m.faults.is_empty() && m.churn.is_empty());
         assert_eq!(m.assertions, AssertionSpec::default());
@@ -1505,10 +1500,9 @@ n = 4
         };
         let m = ScenarioManifest::parse(&with_sim("rng_streams = \"per-node\"")).expect("parses");
         assert_eq!(m.sim.rng_streams, netsim::RngStreams::PerNode);
-        assert!(m.sim.parallel_transport);
+        assert!(!m.sim.parallel_transport);
 
-        // legacy implies the transport default flips off — the manifest
-        // stays valid without an explicit parallel_transport = false
+        // legacy stays valid without an explicit parallel_transport = false
         let m = ScenarioManifest::parse(&with_sim("rng_streams = \"legacy\"")).expect("parses");
         assert_eq!(m.sim.rng_streams, netsim::RngStreams::Legacy);
         assert!(!m.sim.parallel_transport);

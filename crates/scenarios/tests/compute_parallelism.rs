@@ -1,8 +1,9 @@
-//! Determinism gates for the two parallel fast paths and the delta-encoded
-//! digest feed introduced with the flat ancestor-list core:
+//! Determinism gates for the parallel knobs and the delta-encoded digest
+//! feed introduced with the flat ancestor-list core:
 //!
-//! * `parallel_compute` (batched same-instant computes across worker
-//!   threads) must leave every scenario digest byte-identical;
+//! * the `[sim]` keys `parallel_compute` and `parallel_transport` are
+//!   accepted and inert: flipping either must leave every scenario digest
+//!   byte-identical;
 //! * `GrpPipeline::with_jobs` (predicate probes fanned through `par_map`)
 //!   must produce identical convergence/continuity verdicts at any job
 //!   count;
@@ -38,12 +39,10 @@ fn parallel_compute_leaves_scenario_digests_identical() {
     }
 }
 
-/// The tentpole invariant of the per-node stream migration: with
-/// `rng_streams = "per-node"`, sharding the same-instant send/delivery
-/// batches across worker threads must leave every digest byte-identical,
-/// because every random decision is drawn from the stream of the node it
-/// concerns, never from a shared cursor. Covers explicit topologies,
-/// spatial mobility and the contention channel (s15–s17 family).
+/// With `rng_streams = "per-node"`, turning the inert `parallel_transport`
+/// key on must leave every digest byte-identical. Covers explicit
+/// topologies, spatial mobility and the contention channel (s15–s17
+/// family).
 #[test]
 fn parallel_transport_leaves_scenario_digests_identical() {
     for name in [
@@ -55,13 +54,13 @@ fn parallel_transport_leaves_scenario_digests_identical() {
         "s16_metro_commuters.toml",
         "s17_mixed_highway_rsu.toml",
     ] {
-        let parallel = load(name);
-        let mut sequential = parallel.clone();
+        let sequential = load(name);
+        let mut parallel = sequential.clone();
         assert!(
-            parallel.sim.parallel_transport,
-            "{name}: golden manifests must exercise the parallel transport default"
+            !sequential.sim.parallel_transport,
+            "{name}: the inert key defaults off"
         );
-        sequential.sim.parallel_transport = false;
+        parallel.sim.parallel_transport = true;
         let seed = parallel.sim.seeds[0];
         let a = run_seed(&parallel, seed, None);
         let b = run_seed(&sequential, seed, None);
