@@ -18,7 +18,7 @@
 //!   use: capture once per round, feed every enabled probe from the same
 //!   snapshot.
 
-use crate::predicates::{pi_c, pi_t_violations_jobs, SystemSnapshot};
+use crate::predicates::{pi_c, pi_t_violations, SystemSnapshot};
 use crate::stabilization::ConvergenceDetector;
 use dyngraph::{Graph, NodeId};
 use netsim::{
@@ -45,11 +45,9 @@ pub struct RecordedRound {
 /// model. This is the single documented semantics all harnesses now share
 /// (see [`SystemSnapshot::from_simulator`]); the pre-redesign experiment
 /// harness silently captured all nodes while the scenario runner captured
-/// active ones. [`include_inactive`](Self::include_inactive) restores the
-/// old experiment behaviour for diagnostic use only.
+/// active ones.
 #[derive(Clone, Debug, Default)]
 pub struct SnapshotRecorder {
-    include_inactive: bool,
     rounds: Vec<RecordedRound>,
 }
 
@@ -57,13 +55,6 @@ impl SnapshotRecorder {
     /// A recorder with the documented active-only semantics.
     pub fn new() -> Self {
         SnapshotRecorder::default()
-    }
-
-    /// Also capture the frozen views of inactive nodes (diagnostics only —
-    /// the predicate checkers are not meaningful on frozen views).
-    pub fn include_inactive(mut self) -> Self {
-        self.include_inactive = true;
-        self
     }
 
     /// Capture the simulator's current configuration as one round. Views
@@ -74,7 +65,7 @@ impl SnapshotRecorder {
         {
             let prev = self.rounds.last().map(|r| &r.snapshot.views);
             for (id, p) in sim.protocols() {
-                if !self.include_inactive && !sim.is_active(id) {
+                if !sim.is_active(id) {
                     continue;
                 }
                 let view = p.view();
@@ -218,28 +209,19 @@ impl<P: ViewProtocol> Observer<P> for SnapshotRecorder {
 #[derive(Clone, Debug)]
 pub struct ConvergenceProbe {
     detector: ConvergenceDetector,
-    jobs: usize,
 }
 
 impl ConvergenceProbe {
     pub fn new(dmax: usize) -> Self {
         ConvergenceProbe {
             detector: ConvergenceDetector::new(dmax),
-            jobs: 1,
         }
-    }
-
-    /// Fan the per-node/per-pair legitimacy checks across `jobs` worker
-    /// threads; verdicts are identical for every job count.
-    pub fn with_jobs(mut self, jobs: usize) -> Self {
-        self.jobs = jobs.max(1);
-        self
     }
 
     /// Record one already-captured snapshot (the pipelined path — avoids a
     /// second capture when a recorder already took one this round).
     pub fn record(&mut self, snapshot: &SystemSnapshot) {
-        let verdict = snapshot.legitimate_jobs(self.detector.dmax(), self.jobs);
+        let verdict = snapshot.legitimate(self.detector.dmax());
         self.detector.record_verdict(verdict);
     }
 
@@ -299,7 +281,6 @@ pub struct ContinuityProbe {
     dmax: usize,
     prev: Option<SystemSnapshot>,
     stats: ContinuityStats,
-    jobs: usize,
 }
 
 impl ContinuityProbe {
@@ -308,22 +289,14 @@ impl ContinuityProbe {
             dmax,
             prev: None,
             stats: ContinuityStats::default(),
-            jobs: 1,
         }
-    }
-
-    /// Fan the per-node ΠT checks across `jobs` worker threads; the
-    /// accounting is identical for every job count.
-    pub fn with_jobs(mut self, jobs: usize) -> Self {
-        self.jobs = jobs.max(1);
-        self
     }
 
     /// Record one already-captured snapshot (the pipelined path).
     pub fn record(&mut self, snapshot: &SystemSnapshot) {
         if let Some(prev) = &self.prev {
             self.stats.transitions += 1;
-            if pi_t_violations_jobs(prev, snapshot, self.dmax, self.jobs) == 0 {
+            if pi_t_violations(prev, snapshot, self.dmax) == 0 {
                 self.stats.pi_t_held += 1;
                 if pi_c(prev, snapshot) {
                     self.stats.pi_c_held_given_pi_t += 1;
@@ -446,7 +419,6 @@ impl ResilienceStats {
 #[derive(Clone, Debug)]
 pub struct ResilienceProbe {
     dmax: usize,
-    jobs: usize,
     stats: ResilienceStats,
 }
 
@@ -454,16 +426,8 @@ impl ResilienceProbe {
     pub fn new(dmax: usize) -> Self {
         ResilienceProbe {
             dmax,
-            jobs: 1,
             stats: ResilienceStats::default(),
         }
-    }
-
-    /// Fan the legitimacy checks across `jobs` worker threads; the
-    /// accounting is identical for every job count.
-    pub fn with_jobs(mut self, jobs: usize) -> Self {
-        self.jobs = jobs.max(1);
-        self
     }
 
     /// Record an injected fault (the pipelined path).
@@ -480,7 +444,7 @@ impl ResilienceProbe {
     /// Record one already-captured snapshot (the pipelined path).
     pub fn record(&mut self, at: SimTime, snapshot: &SystemSnapshot) {
         self.stats.rounds_observed += 1;
-        if snapshot.legitimate_jobs(self.dmax, self.jobs) {
+        if snapshot.legitimate(self.dmax) {
             self.stats.legitimate_rounds += 1;
             let closed = self.stats.rounds_observed;
             for fault in &mut self.stats.faults {
@@ -544,24 +508,6 @@ impl GrpPipeline {
     /// Also stream per-fault MTTR / availability accounting.
     pub fn with_resilience(mut self, dmax: usize) -> Self {
         self.resilience = Some(ResilienceProbe::new(dmax));
-        self
-    }
-
-    /// Fan the enabled probes' predicate evaluation (per-node ΠS/ΠT, per-
-    /// pair ΠM) across `jobs` worker threads. Probe outputs are identical
-    /// for every job count — the per-item predicates are pure functions of
-    /// the immutable snapshot — which
-    /// `crates/scenarios/tests/parallel.rs` pins.
-    pub fn with_jobs(mut self, jobs: usize) -> Self {
-        if let Some(probe) = self.convergence.take() {
-            self.convergence = Some(probe.with_jobs(jobs));
-        }
-        if let Some(probe) = self.continuity.take() {
-            self.continuity = Some(probe.with_jobs(jobs));
-        }
-        if let Some(probe) = self.resilience.take() {
-            self.resilience = Some(probe.with_jobs(jobs));
-        }
         self
     }
 }
@@ -735,12 +681,10 @@ mod tests {
         let mut sim = grp_sim(3, 3);
         sim.set_active(NodeId(1), false);
         let mut active_only = SnapshotRecorder::new();
-        let mut all = SnapshotRecorder::new().include_inactive();
-        sim.run_rounds_observed(1, &mut (&mut active_only, &mut all));
+        sim.run_rounds_observed(1, &mut active_only);
         assert!(!active_only.rounds()[0]
             .snapshot
             .views
             .contains_key(&NodeId(1)));
-        assert!(all.rounds()[0].snapshot.views.contains_key(&NodeId(1)));
     }
 }

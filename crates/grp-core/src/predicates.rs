@@ -215,39 +215,6 @@ impl SystemSnapshot {
         self.agreement() && self.safety(dmax) && self.maximality(dmax)
     }
 
-    /// [`legitimate`](Self::legitimate) with the per-node ΠS checks and the
-    /// per-pair ΠM checks fanned across `jobs` worker threads. The per-item
-    /// predicates are pure functions of the (immutable, `Arc`-shared)
-    /// snapshot, so the verdict is identical for every job count —
-    /// `jobs <= 1` short-circuits to the sequential path.
-    pub fn legitimate_jobs(&self, dmax: usize, jobs: usize) -> bool {
-        if jobs <= 1 {
-            return self.legitimate(dmax);
-        }
-        if !self.agreement() {
-            return false;
-        }
-        // ΠS: one task per node
-        let nodes: Vec<NodeId> = self.nodes().collect();
-        let safe = rayon::par_map(nodes, jobs, |v| self.node_is_safe(v, dmax));
-        if !safe.into_iter().all(|ok| ok) {
-            return false;
-        }
-        // ΠM: one task per unordered group pair
-        let groups = self.groups();
-        let mut pairs = Vec::new();
-        for i in 0..groups.len() {
-            for j in (i + 1)..groups.len() {
-                pairs.push((i, j));
-            }
-        }
-        let unmergeable = rayon::par_map(pairs, jobs, |(i, j)| {
-            let union: BTreeSet<NodeId> = groups[i].union(&groups[j]).copied().collect();
-            self.union_violates_diameter(&union, dmax)
-        });
-        unmergeable.into_iter().all(|violates| violates)
-    }
-
     /// Number of distinct groups.
     pub fn group_count(&self) -> usize {
         self.groups().len()
@@ -291,25 +258,6 @@ pub fn pi_t(prev: &SystemSnapshot, next: &SystemSnapshot, dmax: usize) -> bool {
 pub fn pi_t_violations(prev: &SystemSnapshot, next: &SystemSnapshot, dmax: usize) -> usize {
     prev.nodes()
         .filter(|&v| pi_t_violated_at(prev, next, dmax, v))
-        .count()
-}
-
-/// [`pi_t_violations`] with the per-node checks fanned across `jobs` worker
-/// threads; the per-node predicate is pure, so the count is identical for
-/// every job count (`jobs <= 1` short-circuits to the sequential path).
-pub fn pi_t_violations_jobs(
-    prev: &SystemSnapshot,
-    next: &SystemSnapshot,
-    dmax: usize,
-    jobs: usize,
-) -> usize {
-    if jobs <= 1 {
-        return pi_t_violations(prev, next, dmax);
-    }
-    let nodes: Vec<NodeId> = prev.nodes().collect();
-    rayon::par_map(nodes, jobs, |v| pi_t_violated_at(prev, next, dmax, v))
-        .into_iter()
-        .filter(|&violated| violated)
         .count()
 }
 

@@ -290,8 +290,9 @@ pub enum ChurnAction {
     },
 }
 
-/// Simulator timing/channel parameters. Defaults mirror
-/// `netsim::SimConfig::default()`.
+/// Simulator timing/channel parameters. Defaults come from
+/// `netsim::SimConfig::default()`, except the RNG regime: manifests run
+/// on per-node streams.
 #[derive(Clone, Debug, PartialEq)]
 pub struct SimSpec {
     pub seeds: Vec<u64>,
@@ -322,19 +323,20 @@ pub struct SimSpec {
 
 impl Default for SimSpec {
     fn default() -> Self {
+        let config = netsim::SimConfig::default();
         SimSpec {
             seeds: vec![1],
             rounds: 60,
-            send_period: 250,
-            compute_period: 1000,
-            mobility_period: 1000,
-            delivery_delay: 10,
-            loss: 0.0,
-            stagger_phases: true,
-            spatial_index: true,
-            parallel_compute: false,
+            send_period: config.send_period,
+            compute_period: config.compute_period,
+            mobility_period: config.mobility_period,
+            delivery_delay: config.delivery_delay,
+            loss: config.loss_probability,
+            stagger_phases: config.stagger_phases,
+            spatial_index: config.spatial_index,
+            parallel_compute: config.parallel_compute,
             rng_streams: netsim::RngStreams::PerNode,
-            parallel_transport: false,
+            parallel_transport: config.parallel_transport,
         }
     }
 }
@@ -413,7 +415,7 @@ pub enum StartSpec {
 }
 
 /// The `[modelcheck]` table: bounds and adversary budget for the bounded
-/// explorer (`mode = "modelcheck"` only). Defaults mirror
+/// explorer (`mode = "modelcheck"` only). Defaults come from
 /// `modelcheck::ExploreConfig::default()`.
 #[derive(Clone, Debug, PartialEq)]
 pub struct ModelCheckSpec {
@@ -437,16 +439,17 @@ pub struct ModelCheckSpec {
 
 impl Default for ModelCheckSpec {
     fn default() -> Self {
+        let explore = modelcheck::ExploreConfig::default();
         ModelCheckSpec {
-            depth: 256,
-            max_states: 200_000,
+            depth: explore.depth,
+            max_states: explore.max_states,
             start: StartSpec::default(),
             warmup_rounds: 64,
-            walks: 16,
-            walk_depth: 256,
-            max_drops: 0,
-            max_duplicates: 0,
-            max_crashes: 0,
+            walks: explore.walks,
+            walk_depth: explore.walk_depth,
+            max_drops: explore.budget.max_drops,
+            max_duplicates: explore.budget.max_duplicates,
+            max_crashes: explore.budget.max_crashes,
         }
     }
 }
@@ -569,34 +572,56 @@ impl ScenarioManifest {
         Ok(manifest)
     }
 
-    fn from_root(root: &BTreeMap<String, Value>) -> Result<Self, ManifestError> {
-        let schema = get_int(root, "schema")?.unwrap_or(SCHEMA_VERSION);
+    fn from_root(root: &Table) -> Result<Self, ManifestError> {
+        let mut root = Section::new("top level".into(), root);
+        let schema = root.get("schema", count(), SCHEMA_VERSION)?;
+        let description = root.get("description", string(), String::new())?;
+        let mode = root.choice("mode", &MODES)?.unwrap_or_default();
+        let protocol = root.table("protocol")?;
+        let sim = root.table("sim")?;
+        let report = root.table("report")?;
+        let topology = root.table("topology")?;
+        let mobility = root.table("mobility")?;
+        let radio = root.table("radio")?;
+        let faults = root.tables("faults")?;
+        let churn = root.tables("churn")?;
+        let assertions = root.table("assertions")?;
+        let golden = root.table("golden")?;
+        let modelcheck = root.table("modelcheck")?;
+        let campaign = root.table("campaign")?;
+        // read last, so a misspelt `name` is the only key left unread
+        let name = root.req("name", string())?;
+        root.finish(())?;
         if schema != SCHEMA_VERSION {
             return bad(format!(
                 "unsupported schema version {schema} (this runner understands {SCHEMA_VERSION})"
             ));
         }
-        let Some(name) = root.get("name").and_then(Value::as_str) else {
-            return bad("missing required `name`");
-        };
-        let description = root
-            .get("description")
-            .and_then(Value::as_str)
-            .unwrap_or("")
-            .to_string();
 
-        let mode = parse_mode(root.get("mode"))?;
-        let workload = parse_workload(root)?;
-        let protocol = parse_protocol(root.get("protocol"))?;
-        let sim = parse_sim(root.get("sim"))?;
-        let report = parse_report(root.get("report"))?;
-        let faults = parse_faults(root.get("faults"))?;
-        let churn = parse_churn(root.get("churn"))?;
+        let workload = parse_workload(topology, mobility, radio)?;
+        let protocol = protocol
+            .map(parse_protocol)
+            .transpose()?
+            .unwrap_or_default();
+        let sim = sim.map(parse_sim).transpose()?.unwrap_or_default();
+        let report = report.map(parse_report).transpose()?.unwrap_or_default();
+        let faults = faults
+            .into_iter()
+            .map(parse_fault)
+            .collect::<Result<Vec<_>, _>>()?;
+        let mut churn = churn
+            .into_iter()
+            .map(parse_churn)
+            .collect::<Result<Vec<_>, _>>()?;
+        churn.sort_by_key(|c| c.at_round);
         if !churn.is_empty() && matches!(workload, WorkloadSpec::Spatial { .. }) {
             return bad("churn schedules require an explicit [topology]; spatial topologies are owned by the radio model");
         }
-        let assertions = parse_assertions(root.get("assertions"))?;
-        let golden = parse_golden(root.get("golden"))?;
+        let assertions = assertions
+            .map(|t| parse_assertions(t, mode))
+            .transpose()?
+            .unwrap_or_default();
+        let golden = golden.map(parse_golden).transpose()?.unwrap_or_default();
         if !golden.digests.is_empty() && golden.digests.len() != sim.seeds.len() {
             return bad(format!(
                 "golden.digests has {} entries but sim.seeds has {} — they must align",
@@ -605,23 +630,17 @@ impl ScenarioManifest {
             ));
         }
 
-        let modelcheck = match mode {
-            RunMode::ModelCheck => Some(parse_modelcheck(root.get("modelcheck"))?),
-            RunMode::Simulate | RunMode::Campaign => {
-                if root.get("modelcheck").is_some() {
-                    return bad("[modelcheck] requires `mode = \"modelcheck\"`");
-                }
-                None
+        let modelcheck = match (mode, modelcheck) {
+            (RunMode::ModelCheck, t) => {
+                Some(t.map(parse_modelcheck).transpose()?.unwrap_or_default())
             }
+            (_, Some(_)) => return bad("[modelcheck] requires `mode = \"modelcheck\"`"),
+            (_, None) => None,
         };
-        let campaign = match mode {
-            RunMode::Campaign => Some(parse_campaign(root.get("campaign"))?),
-            RunMode::Simulate | RunMode::ModelCheck => {
-                if root.get("campaign").is_some() {
-                    return bad("[campaign] requires `mode = \"campaign\"`");
-                }
-                None
-            }
+        let campaign = match (mode, campaign) {
+            (RunMode::Campaign, t) => Some(t.map(parse_campaign).transpose()?.unwrap_or_default()),
+            (_, Some(_)) => return bad("[campaign] requires `mode = \"campaign\"`"),
+            (_, None) => None,
         };
         // RegionBlackout silences nodes by position — meaningless on an
         // explicit topology, so fail loudly instead of running an inert fault.
@@ -652,22 +671,6 @@ impl ScenarioManifest {
                     return bad("[report]: `resilience = true` is simulation-only — the \
                          model checker has no per-round recovery timeline");
                 }
-                for (key, present) in [
-                    ("converged_by", assertions.converged_by.is_some()),
-                    ("max_rounds", assertions.max_rounds.is_some()),
-                    ("view_continuity", assertions.view_continuity.is_some()),
-                    (
-                        "min_delivery_ratio",
-                        assertions.min_delivery_ratio.is_some(),
-                    ),
-                ] {
-                    if present {
-                        return bad(format!(
-                            "[assertions]: `{key}` is simulation-only and cannot be \
-                             checked in mode = \"modelcheck\""
-                        ));
-                    }
-                }
             }
             RunMode::Campaign => {
                 if !faults.is_empty() {
@@ -676,28 +679,6 @@ impl ScenarioManifest {
                 }
                 if !churn.is_empty() {
                     return bad("the [[churn]] schedule is simulation-only");
-                }
-                for (key, present) in [
-                    ("converged_by", assertions.converged_by.is_some()),
-                    ("view_continuity", assertions.view_continuity.is_some()),
-                    (
-                        "min_delivery_ratio",
-                        assertions.min_delivery_ratio.is_some(),
-                    ),
-                    ("agreement", assertions.agreement.is_some()),
-                    ("safety", assertions.safety.is_some()),
-                    ("maximality", assertions.maximality.is_some()),
-                    ("legitimate", assertions.legitimate.is_some()),
-                    ("min_groups", assertions.min_groups.is_some()),
-                    ("max_groups", assertions.max_groups.is_some()),
-                    ("reconverges", assertions.reconverges.is_some()),
-                ] {
-                    if present {
-                        return bad(format!(
-                            "[assertions]: `{key}` judges a single run and cannot be \
-                             checked in mode = \"campaign\" (only `max_rounds` applies)"
-                        ));
-                    }
                 }
                 if sim.rng_streams == netsim::RngStreams::Legacy {
                     return bad("[sim]: mode = \"campaign\" requires \
@@ -711,11 +692,6 @@ impl ScenarioManifest {
                 }
             }
             RunMode::Simulate => {
-                if assertions.reconverges.is_some() {
-                    return bad(
-                        "[assertions]: `reconverges` is only meaningful in mode = \"modelcheck\"",
-                    );
-                }
                 // A disabled probe has no output for the assertion to read;
                 // reject the conflict here instead of panicking in the runner.
                 if !report.convergence && assertions.converged_by.is_some() {
@@ -746,7 +722,7 @@ impl ScenarioManifest {
         }
 
         Ok(ScenarioManifest {
-            name: name.to_string(),
+            name,
             description,
             mode,
             workload,
@@ -763,244 +739,31 @@ impl ScenarioManifest {
     }
 }
 
-// ---- field helpers -------------------------------------------------------
+const MODES: [(&str, RunMode); 3] = [
+    ("simulate", RunMode::Simulate),
+    ("modelcheck", RunMode::ModelCheck),
+    ("campaign", RunMode::Campaign),
+];
 
-fn get_int(table: &BTreeMap<String, Value>, key: &str) -> Result<Option<i64>, ManifestError> {
-    match table.get(key) {
-        None => Ok(None),
-        Some(v) => match v.as_int() {
-            Some(i) => Ok(Some(i)),
-            None => bad(format!("`{key}` must be an integer")),
-        },
-    }
-}
-
-/// The one validator behind every count-like key — rounds, periods, seeds,
-/// node ids, depth bounds, fault budgets, assertion bounds. A count is a
-/// TOML integer `>= 0`; anything else (floats, strings, booleans, negative
-/// integers) reports the same shape regardless of which section the key
-/// lives in: ``{ctx}: `{key}`: expected non-negative integer``.
-fn count_value(value: &Value, key: &str, ctx: &str) -> Result<u64, ManifestError> {
-    match value.as_int() {
-        Some(i) if i >= 0 => Ok(i as u64),
-        _ => bad(format!("{ctx}: `{key}`: expected non-negative integer")),
-    }
-}
-
-fn req_u64(table: &BTreeMap<String, Value>, key: &str, ctx: &str) -> Result<u64, ManifestError> {
-    match table.get(key) {
-        Some(v) => count_value(v, key, ctx),
-        None => bad(format!(
-            "{ctx}: `{key}`: expected non-negative integer, but the key is missing"
-        )),
-    }
-}
-
-fn req_usize(
-    table: &BTreeMap<String, Value>,
-    key: &str,
-    ctx: &str,
-) -> Result<usize, ManifestError> {
-    req_u64(table, key, ctx).map(|v| v as usize)
-}
-
-fn req_f64(table: &BTreeMap<String, Value>, key: &str, ctx: &str) -> Result<f64, ManifestError> {
-    match table.get(key).and_then(Value::as_float) {
-        Some(f) => Ok(f),
-        None => bad(format!("{ctx}: missing or invalid `{key}` (number)")),
-    }
-}
-
-fn opt_f64(table: &BTreeMap<String, Value>, key: &str, default: f64) -> Result<f64, ManifestError> {
-    match table.get(key) {
-        None => Ok(default),
-        Some(v) => match v.as_float() {
-            Some(f) => Ok(f),
-            None => bad(format!("`{key}` must be a number")),
-        },
-    }
-}
-
-fn opt_u64(
-    table: &BTreeMap<String, Value>,
-    key: &str,
-    default: u64,
-    ctx: &str,
-) -> Result<u64, ManifestError> {
-    match table.get(key) {
-        None => Ok(default),
-        Some(v) => count_value(v, key, ctx),
-    }
-}
-
-fn opt_bool(
-    table: &BTreeMap<String, Value>,
-    key: &str,
-    default: bool,
-) -> Result<bool, ManifestError> {
-    match table.get(key) {
-        None => Ok(default),
-        Some(v) => match v.as_bool() {
-            Some(b) => Ok(b),
-            None => bad(format!("`{key}` must be a boolean")),
-        },
-    }
-}
-
-fn parse_workload(root: &BTreeMap<String, Value>) -> Result<WorkloadSpec, ManifestError> {
-    let topology = root.get("topology");
-    let mobility = root.get("mobility");
-    let radio = root.get("radio");
-    match (topology, mobility, radio) {
-        (Some(t), None, None) => {
-            let t = t
-                .as_table()
-                .ok_or_else(|| ManifestError("[topology] must be a table".into()))?;
-            Ok(WorkloadSpec::Explicit(parse_topology(t)?))
-        }
-        (None, Some(m), Some(r)) => {
-            let m = m
-                .as_table()
-                .ok_or_else(|| ManifestError("[mobility] must be a table".into()))?;
-            let r = r
-                .as_table()
-                .ok_or_else(|| ManifestError("[radio] must be a table".into()))?;
-            Ok(WorkloadSpec::Spatial {
-                mobility: parse_mobility(m)?,
-                radio: parse_radio(r)?,
-                channel: parse_channel(r)?,
-            })
-        }
-        (None, Some(_), None) | (None, None, Some(_)) => {
-            bad("spatial scenarios need both [mobility] and [radio]")
-        }
-        (Some(_), _, _) => bad("[topology] is mutually exclusive with [mobility]/[radio]"),
-        (None, None, None) => bad("missing workload: provide [topology] or [mobility]+[radio]"),
-    }
-}
-
-fn parse_topology(t: &BTreeMap<String, Value>) -> Result<TopologySpec, ManifestError> {
-    let kind = t
-        .get("kind")
-        .and_then(Value::as_str)
-        .ok_or_else(|| ManifestError("[topology]: missing `kind`".into()))?;
-    let ctx = "[topology]";
-    match kind {
-        "path" => Ok(TopologySpec::Path {
-            n: req_usize(t, "n", ctx)?,
-        }),
-        "ring" => Ok(TopologySpec::Ring {
-            n: req_usize(t, "n", ctx)?,
-        }),
-        "grid" => Ok(TopologySpec::Grid {
-            rows: req_usize(t, "rows", ctx)?,
-            cols: req_usize(t, "cols", ctx)?,
-        }),
-        "complete" => Ok(TopologySpec::Complete {
-            n: req_usize(t, "n", ctx)?,
-        }),
-        "star" => Ok(TopologySpec::Star {
-            n: req_usize(t, "n", ctx)?,
-        }),
-        "clustered" => Ok(TopologySpec::Clustered {
-            clusters: req_usize(t, "clusters", ctx)?,
-            cluster_size: req_usize(t, "cluster_size", ctx)?,
-        }),
-        "erdos_renyi" => Ok(TopologySpec::ErdosRenyi {
-            n: req_usize(t, "n", ctx)?,
-            p: req_f64(t, "p", ctx)?,
-        }),
-        "random_geometric" => Ok(TopologySpec::RandomGeometric {
-            n: req_usize(t, "n", ctx)?,
-            side: req_f64(t, "side", ctx)?,
-            radius: req_f64(t, "radius", ctx)?,
-        }),
-        other => bad(format!("[topology]: unknown kind `{other}`")),
-    }
-}
-
-fn parse_mobility(m: &BTreeMap<String, Value>) -> Result<MobilitySpec, ManifestError> {
-    let kind = m
-        .get("kind")
-        .and_then(Value::as_str)
-        .ok_or_else(|| ManifestError("[mobility]: missing `kind`".into()))?;
-    let ctx = "[mobility]";
-    let n = req_usize(m, "n", ctx)?;
-    match kind {
-        "stationary_line" => Ok(MobilitySpec::StationaryLine {
-            n,
-            spacing: req_f64(m, "spacing", ctx)?,
-        }),
-        "stationary_uniform" => Ok(MobilitySpec::StationaryUniform {
-            n,
-            width: req_f64(m, "width", ctx)?,
-            height: req_f64(m, "height", ctx)?,
-        }),
-        "random_walk" => Ok(MobilitySpec::RandomWalk {
-            n,
-            width: req_f64(m, "width", ctx)?,
-            height: req_f64(m, "height", ctx)?,
-            max_step: req_f64(m, "max_step", ctx)?,
-        }),
-        "waypoint" => Ok(MobilitySpec::Waypoint {
-            n,
-            width: req_f64(m, "width", ctx)?,
-            height: req_f64(m, "height", ctx)?,
-            speed_min: req_f64(m, "speed_min", ctx)?,
-            speed_max: req_f64(m, "speed_max", ctx)?,
-        }),
-        "highway" => Ok(MobilitySpec::Highway {
-            n,
-            lanes: req_usize(m, "lanes", ctx)?,
-            road_length: req_f64(m, "road_length", ctx)?,
-            initial_gap: req_f64(m, "initial_gap", ctx)?,
-            speed_min: req_f64(m, "speed_min", ctx)?,
-            speed_max: req_f64(m, "speed_max", ctx)?,
-        }),
-        "city_grid" => Ok(MobilitySpec::CityGrid {
-            n,
-            blocks: req_usize(m, "blocks", ctx)?,
-            block_size: req_f64(m, "block_size", ctx)?,
-            speed_min: req_f64(m, "speed_min", ctx)?,
-            speed_max: req_f64(m, "speed_max", ctx)?,
-            light_period: req_u64(m, "light_period", ctx)?,
-        }),
-        "mixed_highway" => Ok(MobilitySpec::MixedHighway {
-            n_roadside: req_usize(m, "n_roadside", ctx)?,
-            rsu_spacing: req_f64(m, "rsu_spacing", ctx)?,
-            rsu_setback: opt_f64(m, "rsu_setback", 8.0)?,
-            n,
-            lanes: req_usize(m, "lanes", ctx)?,
-            road_length: req_f64(m, "road_length", ctx)?,
-            initial_gap: req_f64(m, "initial_gap", ctx)?,
-            speed_min: req_f64(m, "speed_min", ctx)?,
-            speed_max: req_f64(m, "speed_max", ctx)?,
-        }),
-        other => bad(format!("[mobility]: unknown kind `{other}`")),
-    }
-}
-
-fn parse_radio(r: &BTreeMap<String, Value>) -> Result<RadioSpec, ManifestError> {
-    let kind = r
-        .get("kind")
-        .and_then(Value::as_str)
-        .ok_or_else(|| ManifestError("[radio]: missing `kind`".into()))?;
-    let ctx = "[radio]";
-    match kind {
-        "unit_disk" => Ok(RadioSpec::UnitDisk {
-            range: req_f64(r, "range", ctx)?,
-        }),
-        "lossy_disk" => Ok(RadioSpec::LossyDisk {
-            range: req_f64(r, "range", ctx)?,
-            loss: req_f64(r, "loss", ctx)?,
-        }),
-        "distance_loss" => Ok(RadioSpec::DistanceLoss {
-            range: req_f64(r, "range", ctx)?,
-            edge_loss: req_f64(r, "edge_loss", ctx)?,
-        }),
-        other => bad(format!("[radio]: unknown kind `{other}`")),
-    }
-}
+/// The run modes that can check each `[assertions]` key. The model checker
+/// has no timeline, message counts or round budget; a campaign scores many
+/// runs, so only its `max_rounds` budget guard applies.
+const ASSERTION_MODES: [(&str, &[RunMode]); 11] = {
+    use RunMode::{Campaign as C, ModelCheck as M, Simulate as S};
+    [
+        ("converged_by", &[S]),
+        ("max_rounds", &[S, C]),
+        ("view_continuity", &[S]),
+        ("agreement", &[S, M]),
+        ("safety", &[S, M]),
+        ("maximality", &[S, M]),
+        ("legitimate", &[S, M]),
+        ("min_groups", &[S, M]),
+        ("max_groups", &[S, M]),
+        ("min_delivery_ratio", &[S]),
+        ("reconverges", &[M]),
+    ]
+};
 
 /// The contention-only `[radio]` keys — listed so a manifest that sets one
 /// under `model = "bernoulli"` is rejected instead of silently ignored.
@@ -1013,455 +776,663 @@ const CONTENTION_KEYS: [&str; 6] = [
     "hidden_terminal",
 ];
 
-fn parse_channel(r: &BTreeMap<String, Value>) -> Result<ChannelSpec, ManifestError> {
-    let ctx = "[radio]";
-    let model = match r.get("model") {
-        None => "bernoulli",
-        Some(v) => v
-            .as_str()
-            .ok_or_else(|| ManifestError("[radio]: `model` must be a string".into()))?,
-    };
-    match model {
-        "bernoulli" => {
-            for key in CONTENTION_KEYS {
-                if r.contains_key(key) {
-                    return bad(format!(
-                        "[radio]: `{key}` requires `model = \"contention\"`"
-                    ));
-                }
-            }
-            Ok(ChannelSpec::Bernoulli)
+// ---- the section reader --------------------------------------------------
+
+type Table = BTreeMap<String, Value>;
+
+/// One class of values: how it converts from TOML, and the complaint that
+/// follows ``{section}: `{key}` `` when a value does not fit.
+struct Class<T> {
+    complaint: String,
+    read: Convert<T>,
+}
+
+/// Converts one TOML value, or returns `None` when it does not fit.
+type Convert<T> = Box<dyn Fn(&Value) -> Option<T>>;
+
+/// Rounds, node ids, bounds, budgets and seeds: integers `>= 0`.
+fn count<T: TryFrom<i64> + 'static>() -> Class<T> {
+    Class {
+        complaint: ": expected non-negative integer".into(),
+        read: Box::new(|v| {
+            v.as_int()
+                .filter(|&i| i >= 0)
+                .and_then(|i| T::try_from(i).ok())
+        }),
+    }
+}
+
+/// Timer periods, `dmax` and campaign sizes, where zero would stall the
+/// engine or admit nothing.
+fn positive<T: TryFrom<i64> + 'static>() -> Class<T> {
+    Class {
+        complaint: ": expected non-negative integer >= 1".into(),
+        read: Box::new(|v| {
+            v.as_int()
+                .filter(|&i| i >= 1)
+                .and_then(|i| T::try_from(i).ok())
+        }),
+    }
+}
+
+fn number() -> Class<f64> {
+    Class {
+        complaint: ": expected finite number".into(),
+        read: Box::new(|v| v.as_float().filter(|x| x.is_finite())),
+    }
+}
+
+fn probability() -> Class<f64> {
+    Class {
+        complaint: " must be a probability in [0, 1]".into(),
+        read: Box::new(|v| v.as_float().filter(|p| (0.0..=1.0).contains(p))),
+    }
+}
+
+fn flag() -> Class<bool> {
+    Class {
+        complaint: ": expected boolean".into(),
+        read: Box::new(Value::as_bool),
+    }
+}
+
+fn string() -> Class<String> {
+    Class {
+        complaint: ": expected string".into(),
+        read: Box::new(|v| v.as_str().map(str::to_string)),
+    }
+}
+
+/// An array whose every item is of class `item`.
+fn list<T: 'static>(item: Class<T>) -> Class<Vec<T>> {
+    Class {
+        complaint: format!("{} in an array", item.complaint),
+        read: Box::new(move |v| v.as_array()?.iter().map(|x| (item.read)(x)).collect()),
+    }
+}
+
+/// One manifest table being read: its `[section]` name, and every key a
+/// getter has asked for, present or not. [`finish`](Self::finish) rejects
+/// the keys nothing asked for, so a misspelt key is an error instead of a
+/// setting that silently does nothing.
+struct Section<'a> {
+    name: String,
+    table: &'a Table,
+    asked: Vec<&'static str>,
+}
+
+/// Reads the rest of a section once its `kind`/`action` chose the variant.
+type Variant<'a, T> = fn(&mut Section<'a>) -> Result<T, ManifestError>;
+
+impl<'a> Section<'a> {
+    fn new(name: String, table: &'a Table) -> Self {
+        Section {
+            name,
+            table,
+            asked: Vec::new(),
         }
-        "contention" => {
-            // defaults mirror netsim::channel::ContentionConfig::new
-            let base_loss = opt_f64(r, "base_loss", 0.02)?;
-            let load_loss = opt_f64(r, "load_loss", 0.08)?;
-            let max_loss = opt_f64(r, "max_loss", 0.95)?;
-            for (key, p) in [
-                ("base_loss", base_loss),
-                ("load_loss", load_loss),
-                ("max_loss", max_loss),
-            ] {
-                if !(0.0..=1.0).contains(&p) {
-                    return bad(format!("[radio]: `{key}` must be a probability in [0, 1]"));
-                }
-            }
-            Ok(ChannelSpec::Contention {
-                base_loss,
-                load_loss,
-                max_loss,
-                window: opt_u64(r, "window", 250, ctx)?,
-                jitter: opt_u64(r, "jitter", 0, ctx)?,
-                hidden_terminal: opt_bool(r, "hidden_terminal", true)?,
+    }
+
+    fn error(&self, key: &str, complaint: impl fmt::Display) -> ManifestError {
+        ManifestError(format!("{}: `{key}`{complaint}", self.name))
+    }
+
+    fn value(&mut self, key: &'static str) -> Option<&'a Value> {
+        if !self.asked.contains(&key) {
+            self.asked.push(key);
+        }
+        self.table.get(key)
+    }
+
+    fn opt<T>(&mut self, key: &'static str, class: Class<T>) -> Result<Option<T>, ManifestError> {
+        self.value(key)
+            .map(|v| (class.read)(v).ok_or_else(|| self.error(key, &class.complaint)))
+            .transpose()
+    }
+
+    fn get<T>(
+        &mut self,
+        key: &'static str,
+        class: Class<T>,
+        default: T,
+    ) -> Result<T, ManifestError> {
+        Ok(self.opt(key, class)?.unwrap_or(default))
+    }
+
+    /// A required key.
+    fn req<T>(&mut self, key: &'static str, class: Class<T>) -> Result<T, ManifestError> {
+        let complaint = class.complaint.clone();
+        self.opt(key, class)?
+            .ok_or_else(|| self.missing(key, &complaint))
+    }
+
+    /// One of the named `options`.
+    fn choice<T: Copy>(
+        &mut self,
+        key: &'static str,
+        options: &[(&str, T)],
+    ) -> Result<Option<T>, ManifestError> {
+        let Some(given) = self.opt(key, string())? else {
+            return Ok(None);
+        };
+        match options.iter().find(|(name, _)| *name == given) {
+            Some(&(_, value)) => Ok(Some(value)),
+            None => Err(self.error(
+                key,
+                format!(": unknown {key} `{given}` (expected {})", names(options)),
+            )),
+        }
+    }
+
+    /// The required `key` (`kind`, `action`) picks which of `variants`
+    /// reads the rest of the section.
+    fn variant<T>(
+        &mut self,
+        key: &'static str,
+        variants: &[(&str, Variant<'a, T>)],
+    ) -> Result<T, ManifestError> {
+        match self.choice(key, variants)? {
+            Some(read) => read(self),
+            None => Err(self.missing(key, &format!(": expected {}", names(variants)))),
+        }
+    }
+
+    /// The error for a missing required key. The keys nothing has read
+    /// yet are named too: a misspelling of it is among them.
+    fn missing(&self, key: &str, complaint: &str) -> ManifestError {
+        let unread = self.unread();
+        let also = if unread.is_empty() {
+            String::new()
+        } else {
+            format!(" (the section also sets {})", quoted(&unread))
+        };
+        self.error(key, format!("{complaint}, but the key is missing{also}"))
+    }
+
+    /// The sub-table `[key]`, or `[parent.key]` under a nested section.
+    fn table(&mut self, key: &'static str) -> Result<Option<Section<'a>>, ManifestError> {
+        let Some(value) = self.value(key) else {
+            return Ok(None);
+        };
+        let table = value
+            .as_table()
+            .ok_or_else(|| self.error(key, ": expected a table"))?;
+        let name = match self.name.strip_suffix(']') {
+            Some(parent) => format!("{parent}.{key}]"),
+            None => format!("[{key}]"),
+        };
+        Ok(Some(Section::new(name, table)))
+    }
+
+    /// The array of tables `[[key]]`.
+    fn tables(&mut self, key: &'static str) -> Result<Vec<Section<'a>>, ManifestError> {
+        let Some(value) = self.value(key) else {
+            return Ok(Vec::new());
+        };
+        let tables = value.as_array().and_then(|items| {
+            let tables: Option<Vec<&Table>> = items.iter().map(Value::as_table).collect();
+            tables
+        });
+        let tables = tables.ok_or_else(|| self.error(key, ": expected an array of tables"))?;
+        Ok(tables
+            .into_iter()
+            .map(|table| Section::new(format!("[[{key}]]"), table))
+            .collect())
+    }
+
+    fn unread(&self) -> Vec<&'a str> {
+        self.table
+            .keys()
+            .map(String::as_str)
+            .filter(|key| !self.asked.iter().any(|asked| asked == key))
+            .collect()
+    }
+
+    /// Hands `value` back when every key of the section was read.
+    fn finish<T>(self, value: T) -> Result<T, ManifestError> {
+        match self.unread().first() {
+            None => Ok(value),
+            Some(key) => Err(self.error(
+                key,
+                format!(": unknown key (expected one of {})", quoted(&self.asked)),
+            )),
+        }
+    }
+}
+
+fn quoted(keys: &[&str]) -> String {
+    let keys: Vec<String> = keys.iter().map(|key| format!("`{key}`")).collect();
+    keys.join(", ")
+}
+
+fn names<T>(options: &[(&str, T)]) -> String {
+    let names: Vec<String> = options
+        .iter()
+        .map(|(name, _)| format!("\"{name}\""))
+        .collect();
+    format!("one of {}", names.join(", "))
+}
+
+// ---- the sections --------------------------------------------------------
+
+fn parse_workload(
+    topology: Option<Section>,
+    mobility: Option<Section>,
+    radio: Option<Section>,
+) -> Result<WorkloadSpec, ManifestError> {
+    match (topology, mobility, radio) {
+        (Some(t), None, None) => Ok(WorkloadSpec::Explicit(parse_topology(t)?)),
+        (None, Some(m), Some(r)) => {
+            let mobility = parse_mobility(m)?;
+            let (radio, channel) = parse_radio(r)?;
+            Ok(WorkloadSpec::Spatial {
+                mobility,
+                radio,
+                channel,
             })
         }
-        other => bad(format!(
-            "[radio]: unknown model `{other}` (expected \"bernoulli\" or \"contention\")"
+        (None, Some(_), None) | (None, None, Some(_)) => {
+            bad("spatial scenarios need both [mobility] and [radio]")
+        }
+        (Some(_), _, _) => bad("[topology] is mutually exclusive with [mobility]/[radio]"),
+        (None, None, None) => bad("missing workload: provide [topology] or [mobility]+[radio]"),
+    }
+}
+
+fn parse_topology(mut t: Section) -> Result<TopologySpec, ManifestError> {
+    let spec = t.variant(
+        "kind",
+        &[
+            ("path", |t| {
+                t.req("n", count()).map(|n| TopologySpec::Path { n })
+            }),
+            ("ring", |t| {
+                t.req("n", count()).map(|n| TopologySpec::Ring { n })
+            }),
+            ("grid", |t| {
+                Ok(TopologySpec::Grid {
+                    rows: t.req("rows", count())?,
+                    cols: t.req("cols", count())?,
+                })
+            }),
+            ("complete", |t| {
+                t.req("n", count()).map(|n| TopologySpec::Complete { n })
+            }),
+            ("star", |t| {
+                t.req("n", count()).map(|n| TopologySpec::Star { n })
+            }),
+            ("clustered", |t| {
+                Ok(TopologySpec::Clustered {
+                    clusters: t.req("clusters", count())?,
+                    cluster_size: t.req("cluster_size", count())?,
+                })
+            }),
+            ("erdos_renyi", |t| {
+                Ok(TopologySpec::ErdosRenyi {
+                    n: t.req("n", count())?,
+                    p: t.req("p", probability())?,
+                })
+            }),
+            ("random_geometric", |t| {
+                Ok(TopologySpec::RandomGeometric {
+                    n: t.req("n", count())?,
+                    side: t.req("side", number())?,
+                    radius: t.req("radius", number())?,
+                })
+            }),
+        ],
+    )?;
+    t.finish(spec)
+}
+
+fn parse_mobility(mut m: Section) -> Result<MobilitySpec, ManifestError> {
+    let spec = m.variant(
+        "kind",
+        &[
+            ("stationary_line", |m| {
+                Ok(MobilitySpec::StationaryLine {
+                    n: m.req("n", count())?,
+                    spacing: m.req("spacing", number())?,
+                })
+            }),
+            ("stationary_uniform", |m| {
+                Ok(MobilitySpec::StationaryUniform {
+                    n: m.req("n", count())?,
+                    width: m.req("width", number())?,
+                    height: m.req("height", number())?,
+                })
+            }),
+            ("random_walk", |m| {
+                Ok(MobilitySpec::RandomWalk {
+                    n: m.req("n", count())?,
+                    width: m.req("width", number())?,
+                    height: m.req("height", number())?,
+                    max_step: m.req("max_step", number())?,
+                })
+            }),
+            ("waypoint", |m| {
+                Ok(MobilitySpec::Waypoint {
+                    n: m.req("n", count())?,
+                    width: m.req("width", number())?,
+                    height: m.req("height", number())?,
+                    speed_min: m.req("speed_min", number())?,
+                    speed_max: m.req("speed_max", number())?,
+                })
+            }),
+            ("highway", |m| {
+                Ok(MobilitySpec::Highway {
+                    n: m.req("n", count())?,
+                    lanes: m.req("lanes", count())?,
+                    road_length: m.req("road_length", number())?,
+                    initial_gap: m.req("initial_gap", number())?,
+                    speed_min: m.req("speed_min", number())?,
+                    speed_max: m.req("speed_max", number())?,
+                })
+            }),
+            ("city_grid", |m| {
+                Ok(MobilitySpec::CityGrid {
+                    n: m.req("n", count())?,
+                    blocks: m.req("blocks", count())?,
+                    block_size: m.req("block_size", number())?,
+                    speed_min: m.req("speed_min", number())?,
+                    speed_max: m.req("speed_max", number())?,
+                    light_period: m.req("light_period", count())?,
+                })
+            }),
+            ("mixed_highway", |m| {
+                Ok(MobilitySpec::MixedHighway {
+                    n_roadside: m.req("n_roadside", count())?,
+                    rsu_spacing: m.req("rsu_spacing", number())?,
+                    rsu_setback: m.get("rsu_setback", number(), 8.0)?,
+                    n: m.req("n", count())?,
+                    lanes: m.req("lanes", count())?,
+                    road_length: m.req("road_length", number())?,
+                    initial_gap: m.req("initial_gap", number())?,
+                    speed_min: m.req("speed_min", number())?,
+                    speed_max: m.req("speed_max", number())?,
+                })
+            }),
+        ],
+    )?;
+    m.finish(spec)
+}
+
+/// The `[radio]` table: the geometry `kind` and the channel `model`.
+fn parse_radio(mut r: Section) -> Result<(RadioSpec, ChannelSpec), ManifestError> {
+    let radio = r.variant(
+        "kind",
+        &[
+            ("unit_disk", |r| {
+                r.req("range", number())
+                    .map(|range| RadioSpec::UnitDisk { range })
+            }),
+            ("lossy_disk", |r| {
+                Ok(RadioSpec::LossyDisk {
+                    range: r.req("range", number())?,
+                    loss: r.req("loss", probability())?,
+                })
+            }),
+            ("distance_loss", |r| {
+                Ok(RadioSpec::DistanceLoss {
+                    range: r.req("range", number())?,
+                    edge_loss: r.req("edge_loss", probability())?,
+                })
+            }),
+        ],
+    )?;
+    let contention = r
+        .choice("model", &[("bernoulli", false), ("contention", true)])?
+        .unwrap_or(false);
+    let d = netsim::ContentionConfig::new(radio.range());
+    let channel = ChannelSpec::Contention {
+        base_loss: r.get("base_loss", probability(), d.base_loss)?,
+        load_loss: r.get("load_loss", probability(), d.load_loss)?,
+        max_loss: r.get("max_loss", probability(), d.max_loss)?,
+        window: r.get("window", count(), d.window)?,
+        jitter: r.get("jitter", count(), d.jitter)?,
+        hidden_terminal: r.get("hidden_terminal", flag(), d.hidden_terminal)?,
+    };
+    let table = r.table;
+    // finish first, so a misspelt `model` names itself rather than the
+    // contention keys it would have allowed
+    let channel = r.finish(channel)?;
+    if contention {
+        return Ok((radio, channel));
+    }
+    match CONTENTION_KEYS
+        .into_iter()
+        .find(|key| table.contains_key(*key))
+    {
+        Some(key) => bad(format!(
+            "[radio]: `{key}` requires `model = \"contention\"`"
         )),
+        None => Ok((radio, ChannelSpec::Bernoulli)),
     }
 }
 
-fn parse_mode(value: Option<&Value>) -> Result<RunMode, ManifestError> {
-    match value {
-        None => Ok(RunMode::default()),
-        Some(v) => match v.as_str() {
-            Some("simulate") => Ok(RunMode::Simulate),
-            Some("modelcheck") => Ok(RunMode::ModelCheck),
-            Some("campaign") => Ok(RunMode::Campaign),
-            Some(other) => bad(format!(
-                "unknown `mode` `{other}` (expected \"simulate\", \"modelcheck\" or \
-                 \"campaign\")"
-            )),
-            None => bad("`mode` must be a string"),
-        },
-    }
+fn parse_protocol(mut t: Section) -> Result<ProtocolSpec, ManifestError> {
+    let spec = ProtocolSpec {
+        naive_compatibility: t.get("naive_compatibility", flag(), false)?,
+        disable_quarantine: t.get("disable_quarantine", flag(), false)?,
+        dmax: t.req("dmax", positive())?,
+    };
+    t.finish(spec)
 }
 
-fn parse_report(value: Option<&Value>) -> Result<ReportSpec, ManifestError> {
-    let default = ReportSpec::default();
-    let Some(value) = value else {
-        return Ok(default);
+fn parse_sim(mut t: Section) -> Result<SimSpec, ManifestError> {
+    let d = SimSpec::default();
+    let seed = t.opt("seed", count())?;
+    // `seeds` overrides `seed`
+    let seeds = match t.opt("seeds", list(count()))? {
+        Some(seeds) if seeds.is_empty() => return Err(t.error("seeds", ": must not be empty")),
+        Some(seeds) => seeds,
+        None => seed.map_or(d.seeds, |seed| vec![seed]),
     };
-    let t = value
-        .as_table()
-        .ok_or_else(|| ManifestError("[report] must be a table".into()))?;
-    Ok(ReportSpec {
-        convergence: opt_bool(t, "convergence", default.convergence)?,
-        continuity: opt_bool(t, "continuity", default.continuity)?,
-        resilience: opt_bool(t, "resilience", default.resilience)?,
-    })
+    let rng_streams = [
+        ("per-node", netsim::RngStreams::PerNode),
+        ("legacy", netsim::RngStreams::Legacy),
+    ];
+    let spec = SimSpec {
+        seeds,
+        rounds: t.get("rounds", count(), d.rounds)?,
+        send_period: t.get("send_period", positive(), d.send_period)?,
+        compute_period: t.get("compute_period", positive(), d.compute_period)?,
+        mobility_period: t.get("mobility_period", positive(), d.mobility_period)?,
+        delivery_delay: t.get("delivery_delay", count(), d.delivery_delay)?,
+        loss: t.get("loss", probability(), d.loss)?,
+        stagger_phases: t.get("stagger_phases", flag(), d.stagger_phases)?,
+        spatial_index: t.get("spatial_index", flag(), d.spatial_index)?,
+        parallel_compute: t.get("parallel_compute", flag(), d.parallel_compute)?,
+        rng_streams: t
+            .choice("rng_streams", &rng_streams)?
+            .unwrap_or(d.rng_streams),
+        parallel_transport: t.get("parallel_transport", flag(), d.parallel_transport)?,
+    };
+    t.finish(spec)
 }
 
-fn parse_campaign(value: Option<&Value>) -> Result<CampaignSpec, ManifestError> {
-    let default = CampaignSpec::default();
-    let Some(value) = value else {
-        return Ok(default);
+fn parse_report(mut t: Section) -> Result<ReportSpec, ManifestError> {
+    let d = ReportSpec::default();
+    let spec = ReportSpec {
+        convergence: t.get("convergence", flag(), d.convergence)?,
+        continuity: t.get("continuity", flag(), d.continuity)?,
+        resilience: t.get("resilience", flag(), d.resilience)?,
     };
-    let t = value
-        .as_table()
-        .ok_or_else(|| ManifestError("[campaign] must be a table".into()))?;
-    let ctx = "[campaign]";
-    let schedules = opt_u64(t, "schedules", u64::from(default.schedules), ctx)? as u32;
-    if schedules == 0 {
-        return bad("[campaign]: `schedules` must be at least 1");
-    }
-    let max_faults = opt_u64(t, "max_faults", u64::from(default.max_faults), ctx)? as u32;
-    if max_faults == 0 {
-        return bad("[campaign]: `max_faults` must be at least 1");
-    }
-    let horizon = match t.get("horizon") {
-        None => None,
-        Some(v) => Some(count_value(v, "horizon", ctx)?),
-    };
-    let replay = match t.get("replay") {
-        None => None,
-        Some(v) => match v.as_str() {
-            Some(s) => Some(s.to_string()),
-            None => return bad("[campaign]: `replay` must be a string path"),
-        },
-    };
-    Ok(CampaignSpec {
-        schedules,
-        max_faults,
-        horizon,
-        search_seed: opt_u64(t, "search_seed", default.search_seed, ctx)?,
-        replay,
-    })
+    t.finish(spec)
 }
 
-fn parse_modelcheck(value: Option<&Value>) -> Result<ModelCheckSpec, ManifestError> {
-    let default = ModelCheckSpec::default();
-    let Some(value) = value else {
-        return Ok(default);
+fn parse_campaign(mut t: Section) -> Result<CampaignSpec, ManifestError> {
+    let d = CampaignSpec::default();
+    let spec = CampaignSpec {
+        schedules: t.get("schedules", positive(), d.schedules)?,
+        max_faults: t.get("max_faults", positive(), d.max_faults)?,
+        horizon: t.opt("horizon", count())?,
+        search_seed: t.get("search_seed", count(), d.search_seed)?,
+        replay: t.opt("replay", string())?,
     };
-    let t = value
-        .as_table()
-        .ok_or_else(|| ManifestError("[modelcheck] must be a table".into()))?;
-    let ctx = "[modelcheck]";
-    let start = match t.get("start") {
-        None => StartSpec::default(),
-        Some(v) => match v.as_str() {
-            Some("legitimate") => StartSpec::Legitimate,
-            Some("corrupted") => StartSpec::Corrupted,
-            Some("pair-corrupted") => StartSpec::PairCorrupted,
-            _ => {
-                return bad(
-                    "[modelcheck]: `start` must be \"legitimate\", \"corrupted\" \
-                     or \"pair-corrupted\"",
-                );
-            }
-        },
-    };
-    let (max_drops, max_duplicates, max_crashes) = match t.get("faults") {
-        None => (0, 0, 0),
-        Some(v) => {
-            let f = v
-                .as_table()
-                .ok_or_else(|| ManifestError("[modelcheck.faults] must be a table".into()))?;
-            let fc = "[modelcheck.faults]";
-            (
-                opt_u64(f, "drops", 0, fc)? as u32,
-                opt_u64(f, "duplicates", 0, fc)? as u32,
-                opt_u64(f, "crashes", 0, fc)? as u32,
-            )
+    t.finish(spec)
+}
+
+fn parse_modelcheck(mut t: Section) -> Result<ModelCheckSpec, ManifestError> {
+    let d = ModelCheckSpec::default();
+    let (max_drops, max_duplicates, max_crashes) = match t.table("faults")? {
+        None => (d.max_drops, d.max_duplicates, d.max_crashes),
+        Some(mut f) => {
+            let budget = (
+                f.get("drops", count(), d.max_drops)?,
+                f.get("duplicates", count(), d.max_duplicates)?,
+                f.get("crashes", count(), d.max_crashes)?,
+            );
+            f.finish(budget)?
         }
     };
-    Ok(ModelCheckSpec {
-        depth: opt_u64(t, "depth", default.depth as u64, ctx)? as usize,
-        max_states: opt_u64(t, "max_states", default.max_states as u64, ctx)? as usize,
-        start,
-        warmup_rounds: opt_u64(t, "warmup_rounds", default.warmup_rounds as u64, ctx)? as usize,
-        walks: opt_u64(t, "walks", default.walks as u64, ctx)? as u32,
-        walk_depth: opt_u64(t, "walk_depth", default.walk_depth as u64, ctx)? as usize,
+    let starts = [
+        ("legitimate", StartSpec::Legitimate),
+        ("corrupted", StartSpec::Corrupted),
+        ("pair-corrupted", StartSpec::PairCorrupted),
+    ];
+    let spec = ModelCheckSpec {
+        depth: t.get("depth", count(), d.depth)?,
+        max_states: t.get("max_states", count(), d.max_states)?,
+        start: t.choice("start", &starts)?.unwrap_or(d.start),
+        warmup_rounds: t.get("warmup_rounds", count(), d.warmup_rounds)?,
+        walks: t.get("walks", count(), d.walks)?,
+        walk_depth: t.get("walk_depth", count(), d.walk_depth)?,
         max_drops,
         max_duplicates,
         max_crashes,
-    })
+    };
+    t.finish(spec)
 }
 
-fn parse_protocol(value: Option<&Value>) -> Result<ProtocolSpec, ManifestError> {
-    let Some(value) = value else {
-        return Ok(ProtocolSpec::default());
-    };
-    let t = value
-        .as_table()
-        .ok_or_else(|| ManifestError("[protocol] must be a table".into()))?;
-    Ok(ProtocolSpec {
-        dmax: req_usize(t, "dmax", "[protocol]")?,
-        naive_compatibility: opt_bool(t, "naive_compatibility", false)?,
-        disable_quarantine: opt_bool(t, "disable_quarantine", false)?,
-    })
-}
-
-fn parse_sim(value: Option<&Value>) -> Result<SimSpec, ManifestError> {
-    let default = SimSpec::default();
-    let Some(value) = value else {
-        return Ok(default);
-    };
-    let t = value
-        .as_table()
-        .ok_or_else(|| ManifestError("[sim] must be a table".into()))?;
-    let ctx = "[sim]";
-    let seeds = match t.get("seeds") {
-        None => vec![opt_u64(t, "seed", 1, ctx)?],
-        Some(v) => {
-            let items = v
-                .as_array()
-                .ok_or_else(|| ManifestError("`seeds` must be an array".into()))?;
-            let mut seeds = Vec::new();
-            for item in items {
-                seeds.push(count_value(item, "seeds", ctx)?);
-            }
-            if seeds.is_empty() {
-                return bad("`seeds` must not be empty");
-            }
-            seeds
-        }
-    };
-    let rng_streams = match t.get("rng_streams") {
-        None => default.rng_streams,
-        Some(v) => match v.as_str() {
-            Some("per-node") => netsim::RngStreams::PerNode,
-            Some("legacy") => netsim::RngStreams::Legacy,
-            _ => {
-                return bad("`rng_streams` must be \"per-node\" or \"legacy\"");
-            }
-        },
-    };
-    Ok(SimSpec {
-        seeds,
-        rounds: opt_u64(t, "rounds", default.rounds, ctx)?,
-        send_period: opt_u64(t, "send_period", default.send_period, ctx)?,
-        compute_period: opt_u64(t, "compute_period", default.compute_period, ctx)?,
-        mobility_period: opt_u64(t, "mobility_period", default.mobility_period, ctx)?,
-        delivery_delay: opt_u64(t, "delivery_delay", default.delivery_delay, ctx)?,
-        loss: opt_f64(t, "loss", default.loss)?,
-        stagger_phases: opt_bool(t, "stagger_phases", default.stagger_phases)?,
-        spatial_index: opt_bool(t, "spatial_index", default.spatial_index)?,
-        parallel_compute: opt_bool(t, "parallel_compute", default.parallel_compute)?,
-        rng_streams,
-        parallel_transport: opt_bool(t, "parallel_transport", default.parallel_transport)?,
-    })
-}
-
-fn parse_faults(value: Option<&Value>) -> Result<Vec<FaultSpec>, ManifestError> {
-    let Some(value) = value else {
-        return Ok(Vec::new());
-    };
-    let items = value
-        .as_array()
-        .ok_or_else(|| ManifestError("[[faults]] must be an array of tables".into()))?;
-    let mut faults = Vec::new();
-    for item in items {
-        let t = item
-            .as_table()
-            .ok_or_else(|| ManifestError("each fault must be a table".into()))?;
-        let at = req_u64(t, "at", "[[faults]]")?;
-        let kind = t
-            .get("kind")
-            .and_then(Value::as_str)
-            .ok_or_else(|| ManifestError("[[faults]]: missing `kind`".into()))?;
-        let kind = match kind {
-            "crash" => FaultKindSpec::Crash {
-                node: req_u64(t, "node", "[[faults]]")?,
-            },
-            "restart" => FaultKindSpec::Restart {
-                node: req_u64(t, "node", "[[faults]]")?,
-            },
-            "restart_stale" => FaultKindSpec::RestartStale {
-                node: req_u64(t, "node", "[[faults]]")?,
-            },
-            "corrupt" => FaultKindSpec::Corrupt {
-                node: req_u64(t, "node", "[[faults]]")?,
-            },
-            "corrupt_message" => FaultKindSpec::CorruptMessage {
-                node: req_u64(t, "node", "[[faults]]")?,
-            },
-            "loss_burst" => FaultKindSpec::LossBurst {
-                duration: req_u64(t, "duration", "[[faults]]")?,
-            },
-            "partition" => {
-                let groups = t.get("groups").and_then(Value::as_array).ok_or_else(|| {
-                    ManifestError(
-                        "[[faults]]: `partition` needs `groups`, an array of node-id \
-                             arrays"
-                            .into(),
-                    )
-                })?;
-                let mut parsed = Vec::new();
-                for group in groups {
-                    let ids = group.as_array().ok_or_else(|| {
-                        ManifestError("[[faults]]: each `groups` entry must be an array".into())
-                    })?;
-                    let mut members = Vec::new();
-                    for id in ids {
-                        members.push(count_value(id, "groups", "[[faults]]")?);
-                    }
-                    parsed.push(members);
+fn parse_fault(mut t: Section) -> Result<FaultSpec, ManifestError> {
+    let at = t.req("at", count())?;
+    let kind = t.variant(
+        "kind",
+        &[
+            ("crash", |t| {
+                t.req("node", count())
+                    .map(|node| FaultKindSpec::Crash { node })
+            }),
+            ("restart", |t| {
+                t.req("node", count())
+                    .map(|node| FaultKindSpec::Restart { node })
+            }),
+            ("restart_stale", |t| {
+                t.req("node", count())
+                    .map(|node| FaultKindSpec::RestartStale { node })
+            }),
+            ("corrupt", |t| {
+                t.req("node", count())
+                    .map(|node| FaultKindSpec::Corrupt { node })
+            }),
+            ("corrupt_message", |t| {
+                t.req("node", count())
+                    .map(|node| FaultKindSpec::CorruptMessage { node })
+            }),
+            ("loss_burst", |t| {
+                t.req("duration", count())
+                    .map(|duration| FaultKindSpec::LossBurst { duration })
+            }),
+            ("partition", |t| {
+                let groups = t.req("groups", list(list(count())))?;
+                if groups.len() < 2 {
+                    return Err(t.error("groups", ": `partition` needs at least two groups"));
                 }
-                if parsed.len() < 2 {
-                    return bad("[[faults]]: `partition` needs at least two groups");
+                Ok(FaultKindSpec::Partition { groups })
+            }),
+            ("heal", |_| Ok(FaultKindSpec::Heal)),
+            ("region_blackout", |t| {
+                let (min_x, min_y) = (t.req("min_x", number())?, t.req("min_y", number())?);
+                let (max_x, max_y) = (t.req("max_x", number())?, t.req("max_y", number())?);
+                if max_x < min_x || max_y < min_y {
+                    return Err(t.error(
+                        if max_x < min_x { "max_x" } else { "max_y" },
+                        ": the `region_blackout` rectangle is inverted (max below min)",
+                    ));
                 }
-                FaultKindSpec::Partition { groups: parsed }
-            }
-            "heal" => FaultKindSpec::Heal,
-            "region_blackout" => {
-                let ctx = "[[faults]]";
-                let kind = FaultKindSpec::RegionBlackout {
-                    min_x: req_f64(t, "min_x", ctx)?,
-                    min_y: req_f64(t, "min_y", ctx)?,
-                    max_x: req_f64(t, "max_x", ctx)?,
-                    max_y: req_f64(t, "max_y", ctx)?,
-                    duration: req_u64(t, "duration", ctx)?,
-                };
-                if let FaultKindSpec::RegionBlackout {
+                Ok(FaultKindSpec::RegionBlackout {
                     min_x,
                     min_y,
                     max_x,
                     max_y,
-                    ..
-                } = kind
-                {
-                    if max_x < min_x || max_y < min_y {
-                        return bad("[[faults]]: `region_blackout` rectangle is inverted \
-                             (max_x/max_y below min_x/min_y)");
-                    }
-                }
-                kind
-            }
-            other => return bad(format!("[[faults]]: unknown kind `{other}`")),
-        };
-        faults.push(FaultSpec { at, kind });
+                    duration: t.req("duration", count())?,
+                })
+            }),
+        ],
+    )?;
+    t.finish(FaultSpec { at, kind })
+}
+
+fn parse_churn(mut t: Section) -> Result<ChurnSpec, ManifestError> {
+    let at_round = t.req("at_round", count())?;
+    let action = t.variant(
+        "action",
+        &[
+            ("link_up", |t| {
+                Ok(ChurnAction::LinkUp {
+                    a: t.req("a", count())?,
+                    b: t.req("b", count())?,
+                })
+            }),
+            ("link_down", |t| {
+                Ok(ChurnAction::LinkDown {
+                    a: t.req("a", count())?,
+                    b: t.req("b", count())?,
+                })
+            }),
+            ("node_join", |t| {
+                Ok(ChurnAction::NodeJoin {
+                    node: t.req("node", count())?,
+                    links: t.get("links", list(count()), Vec::new())?,
+                })
+            }),
+            ("node_leave", |t| {
+                t.req("node", count())
+                    .map(|node| ChurnAction::NodeLeave { node })
+            }),
+        ],
+    )?;
+    t.finish(ChurnSpec { at_round, action })
+}
+
+fn parse_assertions(mut t: Section, mode: RunMode) -> Result<AssertionSpec, ManifestError> {
+    let quoted_mode = |mode: &RunMode| -> String {
+        let name = MODES.iter().filter(|(_, m)| m == mode);
+        name.map(|(name, _)| format!("\"{name}\"")).collect()
+    };
+    for (key, modes) in ASSERTION_MODES {
+        if t.table.contains_key(key) && !modes.contains(&mode) {
+            let allowed: Vec<String> = modes.iter().map(quoted_mode).collect();
+            return Err(t.error(
+                key,
+                format!(
+                    ": cannot be checked in mode = {} (only in {})",
+                    quoted_mode(&mode),
+                    allowed.join(" or ")
+                ),
+            ));
+        }
     }
-    Ok(faults)
+    let spec = AssertionSpec {
+        converged_by: t.opt("converged_by", count())?,
+        max_rounds: t.opt("max_rounds", count())?,
+        view_continuity: t.opt("view_continuity", probability())?,
+        agreement: t.opt("agreement", flag())?,
+        safety: t.opt("safety", flag())?,
+        maximality: t.opt("maximality", flag())?,
+        legitimate: t.opt("legitimate", flag())?,
+        min_groups: t.opt("min_groups", count())?,
+        max_groups: t.opt("max_groups", count())?,
+        min_delivery_ratio: t.opt("min_delivery_ratio", probability())?,
+        reconverges: t.opt("reconverges", flag())?,
+    };
+    t.finish(spec)
 }
 
-fn parse_churn(value: Option<&Value>) -> Result<Vec<ChurnSpec>, ManifestError> {
-    let Some(value) = value else {
-        return Ok(Vec::new());
-    };
-    let items = value
-        .as_array()
-        .ok_or_else(|| ManifestError("[[churn]] must be an array of tables".into()))?;
-    let mut churn = Vec::new();
-    for item in items {
-        let t = item
-            .as_table()
-            .ok_or_else(|| ManifestError("each churn entry must be a table".into()))?;
-        let at_round = req_u64(t, "at_round", "[[churn]]")?;
-        let action = t
-            .get("action")
-            .and_then(Value::as_str)
-            .ok_or_else(|| ManifestError("[[churn]]: missing `action`".into()))?;
-        let action = match action {
-            "link_up" => ChurnAction::LinkUp {
-                a: req_u64(t, "a", "[[churn]]")?,
-                b: req_u64(t, "b", "[[churn]]")?,
-            },
-            "link_down" => ChurnAction::LinkDown {
-                a: req_u64(t, "a", "[[churn]]")?,
-                b: req_u64(t, "b", "[[churn]]")?,
-            },
-            "node_join" => {
-                let links = match t.get("links") {
-                    None => Vec::new(),
-                    Some(v) => {
-                        let arr = v
-                            .as_array()
-                            .ok_or_else(|| ManifestError("`links` must be an array".into()))?;
-                        let mut links = Vec::new();
-                        for l in arr {
-                            links.push(count_value(l, "links", "[[churn]]")?);
-                        }
-                        links
-                    }
-                };
-                ChurnAction::NodeJoin {
-                    node: req_u64(t, "node", "[[churn]]")?,
-                    links,
-                }
-            }
-            "node_leave" => ChurnAction::NodeLeave {
-                node: req_u64(t, "node", "[[churn]]")?,
-            },
-            other => return bad(format!("[[churn]]: unknown action `{other}`")),
-        };
-        churn.push(ChurnSpec { at_round, action });
-    }
-    churn.sort_by_key(|c| c.at_round);
-    Ok(churn)
-}
-
-fn parse_assertions(value: Option<&Value>) -> Result<AssertionSpec, ManifestError> {
-    let Some(value) = value else {
-        return Ok(AssertionSpec::default());
-    };
-    let t = value
-        .as_table()
-        .ok_or_else(|| ManifestError("[assertions] must be a table".into()))?;
-    let opt_bool_field = |key: &str| -> Result<Option<bool>, ManifestError> {
-        match t.get(key) {
-            None => Ok(None),
-            Some(v) => match v.as_bool() {
-                Some(b) => Ok(Some(b)),
-                None => bad(format!("[assertions]: `{key}` must be a boolean")),
-            },
-        }
-    };
-    let opt_u64_field = |key: &str| -> Result<Option<u64>, ManifestError> {
-        match t.get(key) {
-            None => Ok(None),
-            Some(v) => count_value(v, key, "[assertions]").map(Some),
-        }
-    };
-    let opt_f64_field = |key: &str| -> Result<Option<f64>, ManifestError> {
-        match t.get(key) {
-            None => Ok(None),
-            Some(v) => match v.as_float() {
-                Some(f) => Ok(Some(f)),
-                None => bad(format!("[assertions]: `{key}` must be a number")),
-            },
-        }
-    };
-    Ok(AssertionSpec {
-        converged_by: opt_u64_field("converged_by")?,
-        max_rounds: opt_u64_field("max_rounds")?,
-        view_continuity: opt_f64_field("view_continuity")?,
-        agreement: opt_bool_field("agreement")?,
-        safety: opt_bool_field("safety")?,
-        maximality: opt_bool_field("maximality")?,
-        legitimate: opt_bool_field("legitimate")?,
-        min_groups: opt_u64_field("min_groups")?,
-        max_groups: opt_u64_field("max_groups")?,
-        min_delivery_ratio: opt_f64_field("min_delivery_ratio")?,
-        reconverges: opt_bool_field("reconverges")?,
-    })
-}
-
-fn parse_golden(value: Option<&Value>) -> Result<GoldenSpec, ManifestError> {
-    let Some(value) = value else {
-        return Ok(GoldenSpec::default());
-    };
-    let t = value
-        .as_table()
-        .ok_or_else(|| ManifestError("[golden] must be a table".into()))?;
-    let digests = match t.get("digests") {
-        None => Vec::new(),
-        Some(v) => {
-            let arr = v
-                .as_array()
-                .ok_or_else(|| ManifestError("`digests` must be an array of strings".into()))?;
-            let mut out = Vec::new();
-            for d in arr {
-                match d.as_str() {
-                    Some(s) => out.push(s.to_string()),
-                    None => return bad("`digests` entries must be strings"),
-                }
-            }
-            out
-        }
-    };
-    Ok(GoldenSpec { digests })
+fn parse_golden(mut t: Section) -> Result<GoldenSpec, ManifestError> {
+    let digests = t.get("digests", list(string()), Vec::new())?;
+    t.finish(GoldenSpec { digests })
 }
 
 #[cfg(test)]
@@ -2229,5 +2200,145 @@ reconverges = true
         )
         .expect_err("mc resilience").0;
         assert!(err.contains("simulation-only"), "got `{err}`");
+    }
+
+    /// A zero timer period never advances the clock (`send_period` and
+    /// `mobility_period` hang the runner, `compute_period` runs zero-length
+    /// rounds) and `dmax = 0` admits no group, so all four are rejected at
+    /// parse time. The manifests are only parsed, never run.
+    #[test]
+    fn zero_periods_and_dmax_are_rejected() {
+        let path = "name = \"x\"\n[topology]\nkind = \"path\"\nn = 3\n";
+        let walk = "name = \"x\"\n[mobility]\nkind = \"random_walk\"\nn = 4\nwidth = 50.0\nheight = 50.0\nmax_step = 0.01\n[radio]\nkind = \"unit_disk\"\nrange = 20.0\n";
+        for (base, section, key) in [
+            (path, "[sim]\nrounds = 3\n", "send_period"),
+            (walk, "[sim]\n", "mobility_period"),
+            (path, "[sim]\n", "compute_period"),
+            (path, "[protocol]\n", "dmax"),
+        ] {
+            let section_name = section.lines().next().expect("header");
+            let input = format!("{base}{section}{key} = 0\n");
+            let err = ScenarioManifest::parse(&input).expect_err(key).0;
+            let expected = format!("{section_name}: `{key}`: expected non-negative integer >= 1");
+            assert!(
+                err.contains(&expected),
+                "expected `{expected}`, got `{err}`"
+            );
+            let one = ScenarioManifest::parse(&format!("{base}{section}{key} = 1\n"));
+            assert!(one.is_ok(), "{key} = 1 must parse: {one:?}");
+        }
+    }
+
+    /// Every probability key rejects values outside [0, 1], whichever
+    /// section it lives in. One case per key.
+    #[test]
+    fn probability_keys_are_range_checked() {
+        let path = "name = \"x\"\n[topology]\nkind = \"path\"\nn = 3\n";
+        let spatial = |radio: &str| {
+            format!(
+                "name = \"x\"\n[mobility]\nkind = \"stationary_line\"\nn = 3\nspacing = 10.0\n[radio]\nrange = 15.0\n{radio}"
+            )
+        };
+        let cases = [
+            (format!("{path}[sim]\nloss = 1.5\n"), "loss"),
+            (format!("{path}[sim]\nloss = -0.5\n"), "loss"),
+            (spatial("kind = \"lossy_disk\"\nloss = 2.0\n"), "loss"),
+            (
+                spatial("kind = \"distance_loss\"\nedge_loss = 1.5\n"),
+                "edge_loss",
+            ),
+            (
+                spatial("kind = \"unit_disk\"\nmodel = \"contention\"\nbase_loss = -0.1\n"),
+                "base_loss",
+            ),
+            (
+                spatial("kind = \"unit_disk\"\nmodel = \"contention\"\nload_loss = 1.2\n"),
+                "load_loss",
+            ),
+            (
+                spatial("kind = \"unit_disk\"\nmodel = \"contention\"\nmax_loss = 7\n"),
+                "max_loss",
+            ),
+            (
+                format!("{path}[assertions]\nview_continuity = 1.5\n"),
+                "view_continuity",
+            ),
+            (
+                format!("{path}[assertions]\nmin_delivery_ratio = -0.25\n"),
+                "min_delivery_ratio",
+            ),
+            (
+                "name = \"x\"\n[topology]\nkind = \"erdos_renyi\"\nn = 5\np = 1.25\n".to_string(),
+                "p",
+            ),
+        ];
+        for (input, key) in cases {
+            let err = ScenarioManifest::parse(&input).expect_err(key).0;
+            let expected = format!("`{key}` must be a probability in [0, 1]");
+            assert!(
+                err.contains(&expected),
+                "expected `{expected}`, got `{err}`"
+            );
+        }
+        // the bounds themselves are probabilities
+        let m = ScenarioManifest::parse(&format!("{path}[sim]\nloss = 1\n")).expect("loss = 1");
+        assert_eq!(m.sim.loss, 1.0);
+    }
+
+    /// A key nothing reads is an error naming the key and its section, in
+    /// every section, including the root and the nested budget table.
+    #[test]
+    fn unread_keys_are_rejected_with_their_section() {
+        let cases = [
+            (format!("{MINIMAL}[golden]\ndigest = [\"aa\"]\n"), "[golden]: `digest`: unknown key"),
+            (format!("{MINIMAL}[assertions]\nagreemnt = true\n"), "[assertions]: `agreemnt`: unknown key"),
+            (format!("{MINIMAL}[topology.extra]\nx = 1\n"), "[topology]: `extra`: unknown key"),
+            (format!("{MINIMAL}[asertions]\nagreement = true\n"), "top level: `asertions`: unknown key"),
+            (format!("descripton = \"typo\"\n{MINIMAL}"), "top level: `descripton`: unknown key"),
+            (
+                "name = \"mc\"\nmode = \"modelcheck\"\n[topology]\nkind = \"path\"\nn = 2\n[modelcheck.faults]\ndrop = 1\n".to_string(),
+                "[modelcheck.faults]: `drop`: unknown key",
+            ),
+            // a kind-specific key under another kind is unread too
+            ("name = \"x\"\n[topology]\nkind = \"path\"\nn = 3\nrows = 2\n".to_string(), "[topology]: `rows`: unknown key"),
+        ];
+        for (input, expected) in cases {
+            let err = ScenarioManifest::parse(&input).expect_err(expected).0;
+            assert!(err.contains(expected), "expected `{expected}`, got `{err}`");
+        }
+        // a misspelt required key is named next to the missing one
+        let err = ScenarioManifest::parse("name = \"x\"\n[topology]\nkind = \"path\"\nnn = 3\n")
+            .expect_err("nn")
+            .0;
+        assert!(
+            err.contains("[topology]: `n`:") && err.contains("`nn`"),
+            "got `{err}`"
+        );
+        // `seeds` overrides `seed`; both are read
+        let m = ScenarioManifest::parse(&format!("{MINIMAL}[sim]\nseed = 4\nseeds = [7, 8]\n"))
+            .expect("seed and seeds");
+        assert_eq!(m.sim.seeds, vec![7, 8]);
+    }
+
+    /// Each mode's `[assertions]` keys come from one table; the others
+    /// name the key and the modes that can check it.
+    #[test]
+    fn assertions_outside_their_mode_name_the_allowed_modes() {
+        let err = ScenarioManifest::parse(&format!("{MINIMAL}[assertions]\nreconverges = true\n"))
+            .expect_err("reconverges in simulate")
+            .0;
+        assert!(
+            err.contains("[assertions]: `reconverges`: cannot be checked in mode = \"simulate\" (only in \"modelcheck\")"),
+            "got `{err}`"
+        );
+        let err = ScenarioManifest::parse(&format!(
+            "mode = \"campaign\"\n{MINIMAL}[assertions]\nagreement = true\n"
+        ))
+        .expect_err("agreement in campaign")
+        .0;
+        assert!(
+            err.contains("(only in \"simulate\" or \"modelcheck\")"),
+            "got `{err}`"
+        );
     }
 }

@@ -1,16 +1,13 @@
-//! Determinism gates for the parallel knobs and the delta-encoded digest
-//! feed introduced with the flat ancestor-list core:
+//! Determinism gates for the inert parallel knobs and the delta-encoded
+//! digest feed introduced with the flat ancestor-list core:
 //!
 //! * the `[sim]` keys `parallel_compute` and `parallel_transport` are
 //!   accepted and inert: flipping either must leave every scenario digest
 //!   byte-identical;
-//! * `GrpPipeline::with_jobs` (predicate probes fanned through `par_map`)
-//!   must produce identical convergence/continuity verdicts at any job
-//!   count;
 //! * `SnapshotRecorder`'s delta-encoded digest folding must hash to exactly
 //!   the bytes of the naive full walk.
 
-use grp_core::observers::{GrpPipeline, SnapshotRecorder};
+use grp_core::observers::SnapshotRecorder;
 use netsim::CanonicalHasher;
 use scenarios::manifest::ScenarioManifest;
 use scenarios::{build_simulator, drive_manifest, run_seed, suite_dir};
@@ -71,33 +68,6 @@ fn parallel_transport_leaves_scenario_digests_identical() {
         assert_eq!(a.final_snapshot, b.final_snapshot);
         assert_eq!(a.stats, b.stats);
     }
-}
-
-#[test]
-fn pipeline_jobs_do_not_change_probe_verdicts() {
-    let manifest = load("s07_partition_merge.toml");
-    let seed = manifest.sim.seeds[0];
-    let dmax = manifest.protocol.dmax;
-    let run_with_jobs = |jobs: usize| {
-        let mut sim = build_simulator(&manifest, seed);
-        let mut pipeline = GrpPipeline::new()
-            .with_convergence(dmax)
-            .with_continuity(dmax)
-            .with_jobs(jobs);
-        drive_manifest(&mut sim, &manifest, &mut pipeline);
-        let convergence = pipeline.convergence.expect("enabled");
-        let continuity = pipeline.continuity.expect("enabled").stats();
-        (
-            convergence.convergence_round(),
-            convergence.is_currently_legitimate(),
-            continuity.transitions,
-            continuity.pi_t_held,
-            continuity.pi_c_held_given_pi_t,
-        )
-    };
-    let one = run_with_jobs(1);
-    assert_eq!(one, run_with_jobs(4), "jobs=1 vs jobs=4 diverged");
-    assert_eq!(one, run_with_jobs(13), "jobs=1 vs jobs=13 diverged");
 }
 
 #[test]
